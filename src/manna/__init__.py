@@ -41,7 +41,6 @@ from .oracles import (
     brute_po,
     brute_tau,
     enumerate_allocations,
-    local_search_ief1,
     verify_certificate,
 )
 from .preprocess import (

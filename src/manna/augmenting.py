@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .errors import InputError, SoundnessError
 from .kkm import CellWitness
-from .leveling import p_plus
+from .leveling import max_price, p_plus
 from .model import Allocation, Bundle
-from .pricing import TieGraph, price_of
+from .pricing import TieGraph, enumerate_opt, price_of
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def augment(
         low, high = tg.forced[i], tg.forced[i] | tg.gamma[i]
         if not (low <= result[i] <= high):
             raise SoundnessError(f"bundle of agent {i} left the optimal face")
-    if max(price_of(prices, b) for b in result) != tau:
+    if max_price(prices, result) != tau:
         raise SoundnessError("maximum bundle price moved away from the threshold")
     after = frozenset(i for i in range(n) if p_plus(tg, prices, i, result[i]) >= tau)
     if not (before < after):
@@ -266,21 +266,19 @@ def solve_by_augmenting(
     tau: Fraction,
     witnesses: Sequence[CellWitness],
     trace: list[dict] | None = None,
+    *,
+    face: Sequence[Allocation] | None = None,
 ) -> Allocation:
     """Iterate augmenting runs from a threshold allocation to a fixed point.
 
-    Starts from the first optimal-face member attaining the threshold;
-    each run strictly increases the satisfied count, so at most n runs
-    happen. The result satisfies every agent, like the enumeration
-    route, but is reached constructively.
+    Starts from the first optimal-face member attaining the threshold
+    (``face``, when given, is the enumerated optimal face); each run
+    strictly increases the satisfied count, so at most n runs happen.
+    The result satisfies every agent, like the enumeration route, but
+    is reached constructively.
     """
-    from .pricing import enumerate_opt
-
-    start: Allocation | None = None
-    for alloc in enumerate_opt(tg):
-        if max(price_of(prices, b) for b in alloc) == tau:
-            start = alloc
-            break
+    members = enumerate_opt(tg) if face is None else face
+    start = next((alloc for alloc in members if max_price(prices, alloc) == tau), None)
     if start is None:
         raise SoundnessError("no optimal-face member attains the threshold")
 

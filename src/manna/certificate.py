@@ -71,14 +71,18 @@ def _encode_bundle(bundle: frozenset[int], aux: int | None) -> list:
 
 
 def _decode_bundle(items: list, aux: int | None) -> frozenset[int]:
+    if not isinstance(items, list):
+        raise VerificationError(f"bundle {items!r} is not a list of item ids")
     decoded: set[int] = set()
     for entry in items:
         if entry == AUX_MARK:
             if aux is None:
                 raise VerificationError("aux marker present in an original-instance bundle")
             decoded.add(aux)
+        elif isinstance(entry, int) and not isinstance(entry, bool):
+            decoded.add(entry - 1)
         else:
-            decoded.add(int(entry) - 1)
+            raise VerificationError(f"bundle entry {entry!r} is not an item id")
     return frozenset(decoded)
 
 

@@ -18,32 +18,31 @@ therefore consists of vertices (plus cheap interior representatives for
 robustness). The subdivision strategy (any n) refines barycentric
 subdivisions around fully-labeled simplices and tests all vertices and
 centroids exactly; it reports failure rather than approximating.
+
+Every structure at a weight comes from one builder,
+:func:`manna.pricing.price_forest`: the membership summary of a
+candidate, the argmax map of a cell representative (built once per
+representative), and the bundle-tie forms at a 1-face midpoint. The
+certified point is assembled from the winning candidate's summary, so
+the optimal face at w* is not enumerated again here.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import (
-    DegeneracyError,
-    InputError,
-    SearchUnresolvedError,
-    SizeGuardError,
-    SoundnessError,
-)
+from .errors import InputError, SearchUnresolvedError, SoundnessError
 from .model import Allocation
 from .preprocess import PerturbedInstance
 from .pricing import (
     DEFAULT_FACE_GUARD,
     TieGraph,
     build_tie_graph,
-    dual_prices,
-    enumerate_opt,
+    check_price_signs,
+    price_forest,
     price_of,
     support,
     validate_weight,
@@ -85,76 +84,31 @@ class MembershipSummary:
     face_size: int
 
 
-def _lean_structure(p: PerturbedInstance, w: Weight, eta: Fraction):
-    """Prices, per-item attaining agents, and a forest check, without dataclass overhead."""
-    mult = [wi + eta for wi in w]
-    n = p.n
-    live = p.live_items
-    prices: list[Fraction] = [Fraction(0)] * (p.m + 1)
-    holders: dict[int, list[int]] = {}
-    parent = list(range(n + p.m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in live:
-        best = None
-        hs: list[int] = []
-        for i in range(n):
-            val = mult[i] * p.pvalues[i][j]
-            if best is None or val > best:
-                best, hs = val, [i]
-            elif val == best:
-                hs.append(i)
-        prices[j] = best
-        holders[j] = hs
-        jn = n + j
-        for i in hs:
-            a, b = find(i), find(jn)
-            if a == b:
-                raise DegeneracyError(
-                    f"equality graph cycle at weight {tuple(map(str, w))} via agent {i}, item {j}"
-                )
-            parent[a] = b
-    ties = sorted(j for j, hs in holders.items() if len(hs) >= 2)
-    if len(ties) > n - 1:
-        raise SoundnessError(f"{len(ties)} tie items exceed the forest bound {n - 1}")
-    return tuple(prices), holders, ties
-
-
 def membership_summary(
     p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction, face_guard: int = DEFAULT_FACE_GUARD
 ) -> MembershipSummary:
-    """Enumerate the optimal face at ``w`` and record which agents can top it."""
+    """Enumerate the optimal face at ``w`` and record which agents can top it.
+
+    Each winner's witness is the first face member, in tie-assignment
+    order, in which its bundle price is maximal.
+    """
     wt = validate_weight(w, p.n)
-    prices, holders, ties = _lean_structure(p, wt, eta)
-    n = p.n
-    base = [Fraction(0)] * n
-    forced: list[list[int]] = [[] for _ in range(n)]
-    for j, hs in holders.items():
-        if len(hs) == 1:
-            base[hs[0]] += prices[j]
-            forced[hs[0]].append(j)
-    face_size = 1
-    for j in ties:
-        face_size *= len(holders[j])
-        if face_size > face_guard:
-            raise SizeGuardError(f"optimal face larger than guard {face_guard}")
+    forest = price_forest(p, wt, eta)
+    prices, ties = forest.prices, forest.ties
+    base = [price_of(prices, bundle) for bundle in forest.forced]
+    face_size = 0
     winners: set[int] = set()
     witnesses: dict[int, Allocation] = {}
-    for choice in itertools.product(*(holders[j] for j in ties)):
+    for choice in forest.face(face_guard):
+        face_size += 1
         bundle_price = list(base)
         for j, holder in zip(ties, choice):
             bundle_price[holder] += prices[j]
         top = max(bundle_price)
-        argmax = [i for i in range(n) if bundle_price[i] == top]
-        fresh = [i for i in argmax if i not in winners]
+        fresh = [i for i in range(p.n) if bundle_price[i] == top and i not in winners]
         if fresh:
             winners.update(fresh)
-            alloc = _materialize(n, forced, ties, choice)
+            alloc = forest.allocation(choice)
             for i in fresh:
                 witnesses[i] = alloc
     return MembershipSummary(
@@ -162,16 +116,9 @@ def membership_summary(
         prices=prices,
         winners=frozenset(winners),
         witnesses=witnesses,
-        tie_items=tuple(ties),
+        tie_items=ties,
         face_size=face_size,
     )
-
-
-def _materialize(n: int, forced: list[list[int]], ties: list[int], choice: tuple[int, ...]) -> Allocation:
-    bundles = [set(forced[i]) for i in range(n)]
-    for j, holder in zip(ties, choice):
-        bundles[holder].add(j)
-    return tuple(frozenset(b) for b in bundles)
 
 
 def cell_membership(
@@ -201,26 +148,34 @@ def covering_label(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -
     return candidates[0]
 
 
-def build_star_point(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -> StarPoint:
-    """Assemble the full certified object at a weight that passed all memberships."""
-    wt = validate_weight(w, p.n)
-    prices = dual_prices(p, wt, eta)
-    tg = build_tie_graph(p, wt, eta, prices)
-    witnesses = []
-    allocs = enumerate_opt(tg)
-    for i in range(p.n):
-        chosen: Allocation | None = None
-        for alloc in allocs:
-            bp = [price_of(prices, b) for b in alloc]
-            if bp[i] == max(bp):
-                chosen = alloc
-                break
-        if chosen is None:
-            raise SoundnessError(f"agent {i} lost its membership witness during assembly")
-        witnesses.append(
-            CellWitness(agent=i, w=wt, allocation=chosen, max_price=price_of(prices, chosen[i]))
+def build_star_point(p: PerturbedInstance, summary: MembershipSummary, eta: Fraction) -> StarPoint:
+    """Assemble the certified object from a summary in which every agent won."""
+    missing = sorted(set(range(p.n)) - summary.winners)
+    if missing:
+        raise SoundnessError(f"agents {missing} have no membership witness at the star point")
+    prices = summary.prices
+    check_price_signs(p, prices)
+    witnesses = tuple(
+        CellWitness(
+            agent=i,
+            w=summary.w,
+            allocation=summary.witnesses[i],
+            max_price=price_of(prices, summary.witnesses[i][i]),
         )
-    return StarPoint(w_star=wt, witnesses=tuple(witnesses), prices=prices, tie_graph=tg)
+        for i in range(p.n)
+    )
+    tg = build_tie_graph(p, summary.w, eta, prices)
+    return StarPoint(w_star=summary.w, witnesses=witnesses, prices=prices, tie_graph=tg)
+
+
+def _sigma_at(p: PerturbedInstance, w: Weight, eta: Fraction) -> tuple[int, ...]:
+    """Unique price-attaining agent of each live item; raises if any item ties."""
+    forest = price_forest(p, w, eta)
+    if forest.ties:
+        raise SoundnessError(
+            f"cell representative unexpectedly lies on a tie locus (item {forest.ties[0]})"
+        )
+    return tuple(hs[0] for hs in forest.holders.values())
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +196,11 @@ def _segment_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
     roots: set[Fraction] = set()
     for lo, hi in zip(breakpoints, breakpoints[1:]):
         mid = (lo + hi) / 2
-        sigma = _argmax_map_at(p, (mid, 1 - mid), eta)
+        sigma = _sigma_at(p, (mid, 1 - mid), eta)
         # bundle price gap f(t) = sum_{holder 0} (t+eta) v - sum_{holder 1} (1-t+eta) v
         alpha = Fraction(0)
         beta = Fraction(0)
-        for j, holder in sigma.items():
+        for j, holder in zip(live, sigma):
             v = p.pvalues[holder][j]
             if holder == 0:
                 alpha += v
@@ -262,20 +217,6 @@ def _segment_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
     mids = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
     final = sorted(set(ordered) | set(mids))
     return [(t, 1 - t) for t in final]
-
-
-def _argmax_map_at(p: PerturbedInstance, w: Weight, eta: Fraction) -> dict[int, int]:
-    """Unique price-attaining agent per live item; raises if any item ties."""
-    mult = [wi + eta for wi in w]
-    sigma: dict[int, int] = {}
-    for j in p.live_items:
-        vals = [mult[i] * p.pvalues[i][j] for i in range(p.n)]
-        top = max(vals)
-        holders = [i for i in range(p.n) if vals[i] == top]
-        if len(holders) != 1:
-            raise SoundnessError(f"cell representative unexpectedly lies on a tie locus (item {j})")
-        sigma[j] = holders[0]
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +332,7 @@ def _plane_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
         ys = sorted(crossings)
         for y1, y2 in zip(ys, ys[1:]):
             rep = (xm, (y1 + y2) / 2)
-            sigma = tuple(
-                _argmax_map_at(p, (rep[0], rep[1], 1 - rep[0] - rep[1]), eta)[j] for j in live
-            )
+            sigma = _sigma_at(p, (rep[0], rep[1], 1 - rep[0] - rep[1]), eta)
             sigmas.setdefault(sigma, rep)
     for sigma, rep in sorted(sigmas.items()):
         candidates.add(rep)
@@ -413,7 +352,8 @@ def _plane_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
             pt = _intersect(l01, l02)
             if pt is None or not _in_triangle(pt):
                 continue
-            if _sigma_attains(p, pt, eta, live, sigma):
+            holders = price_forest(p, (pt[0], pt[1], 1 - pt[0] - pt[1]), eta).holders
+            if all(holder in holders[j] for j, holder in zip(live, sigma)):
                 candidates.add(pt)
         # one degenerate pair: the all-equal locus is a whole line whose
         # triangle crossings are already covered by the 1-face pass
@@ -428,89 +368,30 @@ def _plane_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
 def _bundle_tie_forms_at(
     p: PerturbedInstance, pt: tuple[Fraction, Fraction], eta: Fraction
 ) -> list[Form]:
-    """Bundle price difference forms of every optimal-face allocation at a point."""
-    w = (pt[0], pt[1], 1 - pt[0] - pt[1])
-    mult = [wi + eta for wi in w]
-    holders: dict[int, list[int]] = {}
-    for j in p.live_items:
-        vals = [mult[i] * p.pvalues[i][j] for i in range(p.n)]
-        top = max(vals)
-        holders[j] = [i for i in range(p.n) if vals[i] == top]
-    ties = sorted(j for j, hs in holders.items() if len(hs) >= 2)
+    """Bundle price difference forms of every optimal-face allocation at a point.
+
+    A tie item enters every bundle with the price form of its smallest
+    holder; all its holders' forms agree on the tie line through ``pt``.
+    """
+    forest = price_forest(p, (pt[0], pt[1], 1 - pt[0] - pt[1]), eta)
+    zero: Form = (Fraction(0), Fraction(0), Fraction(0))
+    base = [zero] * 3
+    for j, hs in forest.holders.items():
+        if len(hs) == 1:
+            base[hs[0]] = _form_add(base[hs[0]], _price_form(p, hs[0], j, eta))
+    tie_forms = [_price_form(p, forest.holders[j][0], j, eta) for j in forest.ties]
     forms: list[Form] = []
-    price_forms = {j: _price_form(p, min(holders[j]), j, eta) for j in p.live_items}
-    for choice in itertools.product(*(holders[j] for j in ties)):
-        assign = {j: holders[j][0] for j in p.live_items if len(holders[j]) == 1}
-        assign.update(dict(zip(ties, choice)))
-        bundle_forms = [(Fraction(0), Fraction(0), Fraction(0)) for _ in range(3)]
-        for j, holder in assign.items():
-            bundle_forms[holder] = _form_add(bundle_forms[holder], price_forms[j])
+    for choice in forest.face():
+        bundle_forms = list(base)
+        for form, holder in zip(tie_forms, choice):
+            bundle_forms[holder] = _form_add(bundle_forms[holder], form)
         for a, b in itertools.combinations(range(3), 2):
             forms.append(_form_sub(bundle_forms[a], bundle_forms[b]))
     return forms
 
 
-def _sigma_attains(
-    p: PerturbedInstance,
-    pt: tuple[Fraction, Fraction],
-    eta: Fraction,
-    live: tuple[int, ...],
-    sigma: tuple[int, ...],
-) -> bool:
-    w = (pt[0], pt[1], 1 - pt[0] - pt[1])
-    mult = [wi + eta for wi in w]
-    for j, holder in zip(live, sigma):
-        val = mult[holder] * p.pvalues[holder][j]
-        if any(mult[i] * p.pvalues[i][j] > val for i in range(3)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # candidate driver and subdivision strategy
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MANNA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _first_success(
-    candidates: Sequence[Weight],
-    evaluate: Callable[[Weight], frozenset[int]],
-    needed: frozenset[int],
-) -> Weight | None:
-    """First candidate (in the given order) covered by every agent.
-
-    Evaluation may run on a thread pool; results are always consumed in
-    candidate order, so the outcome never depends on the worker count.
-    """
-    threads = _thread_count()
-    if threads <= 1:
-        for w in candidates:
-            if evaluate(w) == needed:
-                return w
-        return None
-
-    def safe(w: Weight):
-        try:
-            return ("ok", evaluate(w))
-        except Exception as exc:  # re-raised in candidate order below
-            return ("err", exc)
-
-    chunk = max(4 * threads, 16)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(candidates), chunk):
-            block = candidates[start : start + chunk]
-            for w, (status, result) in zip(block, pool.map(safe, block)):
-                if status == "err":
-                    raise result
-                if result == needed:
-                    return w
-    return None
 
 
 def find_wstar(
@@ -538,18 +419,14 @@ def find_wstar(
         candidates = (
             _segment_candidates(p, eta) if p.n == 2 else _plane_candidates(p, eta)
         )
-        needed = frozenset(range(p.n))
-
-        def evaluate(w: Weight) -> frozenset[int]:
-            return membership_summary(p, w, eta, face_guard).winners
-
-        found = _first_success(candidates, evaluate, needed)
-        if found is None:
-            raise SoundnessError(
-                f"exact search exhausted {len(candidates)} candidates without a common point "
-                f"(n={p.n}, m={p.m}, seed={p.seed}); this indicates degeneracy or a bug"
-            )
-        return build_star_point(p, found, eta)
+        for w in candidates:
+            summary = membership_summary(p, w, eta, face_guard)
+            if len(summary.winners) == p.n:
+                return build_star_point(p, summary, eta)
+        raise SoundnessError(
+            f"exact search exhausted {len(candidates)} candidates without a common point "
+            f"(n={p.n}, m={p.m}, seed={p.seed}); this indicates degeneracy or a bug"
+        )
     if strategy == "subdivision":
         return _subdivision_search(
             p, eta, face_guard=face_guard, max_depth=max_depth, simplex_budget=simplex_budget
@@ -572,18 +449,18 @@ def _subdivision_search(
     ]
     root = tuple(unit)
 
-    winners_cache: dict[Weight, frozenset[int]] = {}
+    summaries: dict[Weight, MembershipSummary] = {}
     labels_cache: dict[Weight, int] = {}
 
-    def winners(w: Weight) -> frozenset[int]:
-        if w not in winners_cache:
-            winners_cache[w] = membership_summary(p, w, eta, face_guard).winners
-        return winners_cache[w]
+    def summary_at(w: Weight) -> MembershipSummary:
+        if w not in summaries:
+            summaries[w] = membership_summary(p, w, eta, face_guard)
+        return summaries[w]
 
     def label(w: Weight) -> int:
         if w not in labels_cache:
             sup = support(w)
-            cands = sorted(winners(w) & sup)
+            cands = sorted(summary_at(w).winners & sup)
             if not cands:
                 raise SoundnessError(f"covering failed at weight {tuple(map(str, w))}")
             labels_cache[w] = cands[0]
@@ -607,8 +484,8 @@ def _subdivision_search(
         if processed > simplex_budget:
             break
         for w in list(simplex) + [centroid(simplex)]:
-            if winners(w) == needed:
-                return build_star_point(p, w, eta)
+            if summary_at(w).winners == needed:
+                return build_star_point(p, summary_at(w), eta)
         if len({label(v) for v in simplex}) != n:
             continue
         d = diameter(simplex)

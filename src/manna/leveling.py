@@ -5,6 +5,10 @@ agent's relaxed bundle price allows one optimal add-or-remove of a tie
 item adjacent to that agent; a leveled allocation attains max price tau
 and, subject to that, maximizes how many agents reach tau after the
 relaxation. At a genuine fixed-point weight every agent reaches tau.
+
+:func:`compute_tau` and :func:`find_leveled` take the optimal face as
+``face`` when the caller has already enumerated it, so one enumeration
+at a weight serves both.
 """
 
 from __future__ import annotations
@@ -47,15 +51,16 @@ def p_plus(tg: TieGraph, prices: Sequence[Fraction], agent: int, bundle: Iterabl
     return best
 
 
-def compute_tau(tg: TieGraph, prices: Sequence[Fraction]) -> Fraction:
+def max_price(prices: Sequence[Fraction], alloc: Allocation) -> Fraction:
+    """Largest bundle price of an allocation."""
+    return max(price_of(prices, bundle) for bundle in alloc)
+
+
+def compute_tau(
+    tg: TieGraph, prices: Sequence[Fraction], face: Sequence[Allocation] | None = None
+) -> Fraction:
     """Exact min over the optimal face of the maximum bundle price."""
-    best: Fraction | None = None
-    for alloc in enumerate_opt(tg):
-        top = max(price_of(prices, bundle) for bundle in alloc)
-        if best is None or top < best:
-            best = top
-    assert best is not None
-    return best
+    return min(max_price(prices, alloc) for alloc in (enumerate_opt(tg) if face is None else face))
 
 
 def find_leveled(
@@ -63,6 +68,7 @@ def find_leveled(
     prices: Sequence[Fraction],
     tau: Fraction,
     *,
+    face: Sequence[Allocation] | None = None,
     expect_full: bool = False,
 ) -> LevelState:
     """Pick the leveled allocation, ties broken by tie-item assignment order.
@@ -72,8 +78,8 @@ def find_leveled(
     is escalated as a soundness error.
     """
     best: LevelState | None = None
-    for alloc in enumerate_opt(tg):
-        if max(price_of(prices, bundle) for bundle in alloc) != tau:
+    for alloc in enumerate_opt(tg) if face is None else face:
+        if max_price(prices, alloc) != tau:
             continue
         satisfied = frozenset(
             i for i in range(tg.n) if p_plus(tg, prices, i, alloc[i]) >= tau

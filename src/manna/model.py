@@ -55,6 +55,8 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]]) -> Instance:
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise InputError("value matrix must be a list of rows")
         values = tuple(tuple(parse_rat(x) for x in row) for row in rows)
         if not values:
             raise InputError("empty value matrix")

@@ -10,8 +10,6 @@ so agreement is meaningful evidence.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator, Sequence
@@ -35,32 +33,16 @@ from .preprocess import (
     PerturbedInstance,
     compute_eta,
     compute_lambda,
+    assignments,
     compute_omega,
     choose_epsilon,
+    denominators_lcm,
     normalize_mixed,
     omega_lower_bound,
     restrict,
     value_cap,
 )
 from .pricing import build_tie_graph, dual_prices, enumerate_opt, lp_objective, price_of, support
-
-
-def assignments(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[tuple[int, ...]]:
-    """All item-to-agent assignment vectors in mixed-radix order (item 0 fastest)."""
-    if n ** m > guard:
-        raise SizeGuardError(f"{n}^{m} assignments exceed guard {guard}")
-    vec = [0] * m
-    while True:
-        yield tuple(vec)
-        j = 0
-        while j < m:
-            vec[j] += 1
-            if vec[j] < n:
-                break
-            vec[j] = 0
-            j += 1
-        if j == m:
-            return
 
 
 def enumerate_allocations(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Allocation]:
@@ -77,10 +59,7 @@ def enumerate_allocations(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> It
 
 
 def _int_matrix(values: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    lcm = 1
-    for row in values:
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = denominators_lcm(values)
     return [[int(v * lcm) for v in row] for row in values], lcm
 
 
@@ -200,67 +179,6 @@ def brute_tau(
     if best is None:
         raise VerificationError("no allocation attains the dual total; prices are inconsistent")
     return Fraction(best, lcm)
-
-
-def local_search_ief1(
-    inst: Instance,
-    rng: random.Random,
-    *,
-    restarts: int = 40,
-    max_steps: int = 400,
-) -> Allocation | None:
-    """Greedy descent on envy shortfall until a one-swap-fair allocation appears."""
-    n, m = inst.n, inst.m
-    ints, _ = _int_matrix(inst.values)
-
-    def score(vec: list[int]) -> tuple[int, int]:
-        bundle_vals = [[0] * n for _ in range(n)]
-        for j, holder in enumerate(vec):
-            for i in range(n):
-                bundle_vals[i][holder] += ints[i][j]
-        bad = 0
-        shortfall = 0
-        for i in range(n):
-            target = max(bundle_vals[i])
-            own = bundle_vals[i][i]
-            best = own
-            if own < target:
-                for j in range(m):
-                    adj = own - ints[i][j] if vec[j] == i else own + ints[i][j]
-                    if adj > best:
-                        best = adj
-            if best < target:
-                bad += 1
-                shortfall += target - best
-        return bad, shortfall
-
-    for _ in range(restarts):
-        vec = [rng.randrange(n) for _ in range(m)]
-        current = score(vec)
-        for _ in range(max_steps):
-            if current[0] == 0:
-                bundles: list[set[int]] = [set() for _ in range(n)]
-                for j, holder in enumerate(vec):
-                    bundles[holder].add(j)
-                return tuple(frozenset(b) for b in bundles)
-            improved = False
-            for j in range(m):
-                original = vec[j]
-                for a in range(n):
-                    if a == original:
-                        continue
-                    vec[j] = a
-                    trial = score(vec)
-                    if trial < current:
-                        current = trial
-                        improved = True
-                        break
-                    vec[j] = original
-                if improved:
-                    break
-            if not improved:
-                break
-    return None
 
 
 # ---------------------------------------------------------------------------

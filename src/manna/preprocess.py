@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError, SizeGuardError
 from .model import Allocation, Instance
@@ -113,11 +113,8 @@ def compute_omega(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Fraction |
     Enumerates all n^m allocations; callers beyond the guard should use
     :func:`omega_lower_bound` instead.
     """
-    total = inst.n ** inst.m
-    if total > guard:
-        raise SizeGuardError(f"{inst.n}^{inst.m} allocations exceed guard {guard}")
     welfares: set[Fraction] = set()
-    for assignment in _assignments(inst.n, inst.m):
+    for assignment in assignments(inst.n, inst.m, guard):
         w = Fraction(0)
         for j, holder in enumerate(assignment):
             w += inst.values[holder][j]
@@ -127,28 +124,32 @@ def compute_omega(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Fraction |
     return min(gaps) if gaps else None
 
 
-def _assignments(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    assignment = [0] * m
+def assignments(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[tuple[int, ...]]:
+    """All item-to-agent assignment vectors in mixed-radix order (item 0 fastest)."""
+    if n ** m > guard:
+        raise SizeGuardError(f"{n}^{m} allocations exceed guard {guard}")
+    vec = [0] * m
     while True:
-        yield tuple(assignment)
+        yield tuple(vec)
         j = 0
         while j < m:
-            assignment[j] += 1
-            if assignment[j] < n:
+            vec[j] += 1
+            if vec[j] < n:
                 break
-            assignment[j] = 0
+            vec[j] = 0
             j += 1
         if j == m:
             return
 
 
+def denominators_lcm(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Least common multiple of every entry's denominator."""
+    return math.lcm(*(v.denominator for row in matrix for v in row))
+
+
 def omega_lower_bound(inst: Instance) -> Fraction:
     """A positive lower bound on any welfare gap: 1/(common denominator * n)."""
-    lcm = 1
-    for row in inst.values:
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return Fraction(1, lcm * inst.n)
+    return Fraction(1, denominators_lcm(inst.values) * inst.n)
 
 
 def value_cap(inst: Instance) -> Fraction:
@@ -293,14 +294,6 @@ def _mix_seed(seed: int, attempt: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + attempt * 0xBF58476D1CE4E5B9 + 0x632BE59BD9B4E019) % 2**63
 
 
-def _values_lcm(inst: Instance) -> int:
-    lcm = 1
-    for row in inst.values:
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return lcm
-
-
 def perturb(
     inst: Instance,
     seed: int,
@@ -323,7 +316,7 @@ def perturb(
     lam, eps = constants.lam, constants.epsilon
     if lam is None or eps is None:
         raise InputError("cannot perturb an all-zero instance")
-    denom = grid_base * _values_lcm(inst)
+    denom = grid_base * denominators_lcm(inst.values)
     while (eps * denom) < 2**20:
         denom *= 2
     ticks = int(eps * denom)  # floor; grid points k/denom for k in [1, ticks]

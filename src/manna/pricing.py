@@ -12,9 +12,10 @@ of allocations sandwiched between forced bundles and tie adjacency.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError, SizeGuardError, SoundnessError
 from .model import Allocation, Bundle
@@ -36,24 +37,117 @@ def support(w: Sequence[Fraction]) -> frozenset[int]:
     return frozenset(i for i, x in enumerate(w) if x > 0)
 
 
+class PriceForest(NamedTuple):
+    """Prices at one weight and the forest of price-attaining (agent, item) pairs.
+
+    ``prices`` covers every item (dead ones at zero); ``holders`` maps
+    each live item to the agents attaining its price, ascending;
+    ``ties`` lists the items with two or more holders, ascending;
+    ``forced`` holds each agent's one-holder items; ``roots`` names the
+    tree of the forest that holds each agent.
+    """
+
+    prices: tuple[Fraction, ...]
+    holders: dict[int, tuple[int, ...]]
+    ties: tuple[int, ...]
+    forced: tuple[Bundle, ...]
+    roots: tuple[int, ...]
+
+    def face(self, guard: int = DEFAULT_FACE_GUARD) -> Iterator[tuple[int, ...]]:
+        """Tie assignments of the optimal face; see :func:`_face`."""
+        return _face(self.holders, self.ties, guard)
+
+    def allocation(self, choice: Sequence[int]) -> Allocation:
+        """The face member that gives tie item ``ties[k]`` to agent ``choice[k]``."""
+        return _allocation(self.forced, self.ties, choice)
+
+
+def price_forest(
+    p: PerturbedInstance,
+    w: Sequence[Fraction],
+    eta: Fraction,
+    prices: Sequence[Fraction] | None = None,
+) -> PriceForest:
+    """Prices and price holders at a validated weight, checked to form a forest.
+
+    The only place that computes them. Given ``prices`` must be exactly
+    the maxima. A one-holder item is a leaf and cannot close a cycle, so
+    only tie edges enter the union-find; a cycle means the perturbation
+    draw was degenerate after all, and the error carries it so the
+    caller can re-draw.
+    """
+    n = p.n
+    mult = [wi + eta for wi in w]
+    top_prices = [Fraction(0)] * (p.m + 1)
+    holders: dict[int, tuple[int, ...]] = {}
+    forced: list[list[int]] = [[] for _ in range(n)]
+    ties: list[int] = []
+    for j in p.live_items:
+        vals = [mult[i] * p.pvalues[i][j] for i in range(n)]
+        top = max(vals)
+        if prices is not None and prices[j] != top:
+            raise SoundnessError(f"no agent attains the given price of item {j} as the maximum")
+        hs = tuple(i for i in range(n) if vals[i] == top)
+        if top == 0:  # a holder of zero value attains a zero price
+            for i in hs:
+                if p.pvalues[i][j] == 0:
+                    raise SoundnessError(f"tie edge ({i},{j}) would carry a zero value")
+        top_prices[j] = top
+        holders[j] = hs
+        if len(hs) == 1:
+            forced[hs[0]].append(j)
+        else:
+            ties.append(j)
+
+    # union-find over agents (0..n-1) and tie items (n + j)
+    parent = list(range(n + p.m + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adjacency: dict[int, list[int]] = {}
+    for i, j in sorted((i, j) for j in ties for i in holders[j]):
+        a, b = find(i), find(n + j)
+        if a == b:
+            raise DegeneracyError(
+                f"equality graph contains a cycle through agent {i} and item {j}",
+                cycle=_recover_cycle(adjacency, i, n + j, n),
+            )
+        parent[a] = b
+        adjacency.setdefault(i, []).append(n + j)
+        adjacency.setdefault(n + j, []).append(i)
+    if len(ties) > n - 1:
+        raise SoundnessError(f"{len(ties)} tie items exceed the forest bound {n - 1}")
+    return PriceForest(
+        prices=tuple(top_prices),
+        holders=holders,
+        ties=tuple(ties),
+        forced=tuple(frozenset(b) for b in forced),
+        roots=tuple(find(i) for i in range(n)),
+    )
+
+
+def check_price_signs(p: PerturbedInstance, prices: Sequence[Fraction]) -> None:
+    """Negative for chores, positive for goods and zero-positive items."""
+    for j, cls in p.classes().items():
+        if cls is ItemClass.CHORE:
+            if prices[j] >= 0:
+                raise SoundnessError(f"chore item {j} received nonnegative price {prices[j]}")
+        elif prices[j] <= 0:
+            raise SoundnessError(f"item {j} of class {cls.value} received nonpositive price {prices[j]}")
+
+
 def dual_prices(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -> tuple[Fraction, ...]:
     """Unique dual optimum: componentwise maximum of (w_i + eta) * value.
 
     Positive for goods and zero-positive items, negative for chores;
     exactly zero only on dead (all-zero) items.
     """
-    wt = validate_weight(w, p.n)
-    mult = [wi + eta for wi in wt]
-    prices = tuple(
-        max(mult[i] * p.pvalues[i][j] for i in range(p.n)) for j in range(p.m + 1)
-    )
-    classes = p.classes()
-    for j, cls in classes.items():
-        if cls is ItemClass.CHORE:
-            if prices[j] >= 0:
-                raise SoundnessError(f"chore item {j} received nonnegative price {prices[j]}")
-        elif prices[j] <= 0:
-            raise SoundnessError(f"item {j} of class {cls.value} received nonpositive price {prices[j]}")
+    prices = price_forest(p, validate_weight(w, p.n), eta).prices
+    check_price_signs(p, prices)
     return prices
 
 
@@ -63,7 +157,7 @@ class TieGraph:
 
     ``forced`` holds each agent's degree-1 items; ``tie_items`` the
     items with degree >= 2; ``gamma`` each agent's tie neighborhood;
-    ``item_neighbors`` each tie item's agents. ``components`` maps every
+    ``item_neighbors`` each live item's agents. ``components`` maps every
     node (agents: 0..n-1, item j: n + j) to a component id. Dead items
     carry no edges and appear in none of these.
     """
@@ -91,82 +185,29 @@ class TieGraph:
 def build_tie_graph(
     p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction, prices: Sequence[Fraction]
 ) -> TieGraph:
-    """Construct the equality graph and assert it is a forest.
-
-    A cycle here means the perturbation draw was degenerate after all;
-    the error carries the cycle so the caller can re-draw.
-    """
+    """The equality graph of :func:`price_forest` as a searchable structure."""
     wt = validate_weight(w, p.n)
-    mult = [wi + eta for wi in wt]
-    zero = p.zero_items
-    edges: set[tuple[int, int]] = set()
-    item_neighbors: dict[int, list[int]] = {}
-    for j in range(p.m + 1):
-        if j in zero:
-            continue
-        holders = [i for i in range(p.n) if mult[i] * p.pvalues[i][j] == prices[j]]
-        if not holders:
-            raise SoundnessError(f"no agent attains the price of item {j}")
-        for i in holders:
-            if p.pvalues[i][j] == 0:
-                raise SoundnessError(f"tie edge ({i},{j}) would carry a zero value")
-            edges.add((i, j))
-        item_neighbors[j] = holders
-
-    # union-find over agents (0..n-1) and items (n + j) with cycle detection
-    parent = list(range(p.n + p.m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adjacency: dict[int, list[int]] = {}
-    for i, j in sorted(edges):
-        a, b = find(i), find(p.n + j)
-        if a == b:
-            raise DegeneracyError(
-                f"equality graph contains a cycle through agent {i} and item {j}",
-                cycle=_recover_cycle(adjacency, i, p.n + j, p.n),
-            )
-        parent[a] = b
-        adjacency.setdefault(i, []).append(p.n + j)
-        adjacency.setdefault(p.n + j, []).append(i)
-
-    forced = tuple(
-        frozenset(j for j, hs in item_neighbors.items() if len(hs) == 1 and hs[0] == i)
-        for i in range(p.n)
-    )
-    tie_items = frozenset(j for j, hs in item_neighbors.items() if len(hs) >= 2)
-    if len(tie_items) > p.n - 1:
-        raise SoundnessError(f"{len(tie_items)} tie items exceed the forest bound {p.n - 1}")
-    gamma = tuple(
-        frozenset(j for j in tie_items if (i, j) in edges) for i in range(p.n)
-    )
-
+    forest = price_forest(p, wt, eta, prices)
+    n = p.n
     components: dict[int, int] = {}
     labels: dict[int, int] = {}
-    nodes = list(range(p.n)) + [p.n + j for j in item_neighbors]
-    for node in nodes:
-        root = find(node)
-        if root not in labels:
-            labels[root] = len(labels)
-        components[node] = labels[root]
-
+    for i, root in enumerate(forest.roots):
+        components[i] = labels.setdefault(root, len(labels))
+    for j, hs in forest.holders.items():
+        components[n + j] = components[hs[0]]
     return TieGraph(
-        n=p.n,
+        n=n,
         aux_item=p.aux_item,
         weights=wt,
         eta=eta,
         prices=tuple(prices),
-        edges=frozenset(edges),
-        forced=forced,
-        tie_items=tie_items,
-        gamma=gamma,
-        item_neighbors={j: tuple(hs) for j, hs in item_neighbors.items()},
+        edges=frozenset((i, j) for j, hs in forest.holders.items() for i in hs),
+        forced=forest.forced,
+        tie_items=frozenset(forest.ties),
+        gamma=tuple(frozenset(j for j in forest.ties if i in forest.holders[j]) for i in range(n)),
+        item_neighbors=forest.holders,
         components=components,
-        zero_items=zero,
+        zero_items=p.zero_items,
     )
 
 
@@ -195,26 +236,35 @@ def price_of(prices: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     return sum((prices[t] for t in bundle), Fraction(0))
 
 
+def _face(
+    holders: Mapping[int, Sequence[int]], ties: Sequence[int], guard: int
+) -> Iterator[tuple[int, ...]]:
+    """Every optimal-face member as the holder chosen for each tie item, lexicographic.
+
+    Forced bundles are fixed; each tie item independently goes to one
+    of its holders, so the count is the product of tie-item degrees.
+    """
+    if math.prod(len(holders[j]) for j in ties) > guard:
+        raise SizeGuardError(f"optimal face larger than guard {guard}")
+    yield from itertools.product(*(holders[j] for j in ties))
+
+
+def _allocation(forced: Sequence[Bundle], ties: Sequence[int], choice: Sequence[int]) -> Allocation:
+    bundles = [set(b) for b in forced]
+    for j, holder in zip(ties, choice):
+        bundles[holder].add(j)
+    return tuple(frozenset(b) for b in bundles)
+
+
 def enumerate_opt(tg: TieGraph, guard: int = DEFAULT_FACE_GUARD) -> tuple[Allocation, ...]:
     """All optimal-face allocations over live items, lexicographic by tie assignment.
 
-    Forced bundles are fixed; each tie item independently goes to one
-    of its graph neighbors, so the count is the product of tie-item
-    degrees. Dead items are excluded here and pinned at output time.
+    Dead items are excluded here and pinned at output time.
     """
     ties = sorted(tg.tie_items)
-    count = 1
-    for j in ties:
-        count *= len(tg.item_neighbors[j])
-        if count > guard:
-            raise SizeGuardError(f"optimal face larger than guard {guard}")
-    out: list[Allocation] = []
-    for choice in itertools.product(*(tg.item_neighbors[j] for j in ties)):
-        bundles = [set(tg.forced[i]) for i in range(tg.n)]
-        for j, holder in zip(ties, choice):
-            bundles[holder].add(j)
-        out.append(tuple(frozenset(b) for b in bundles))
-    return tuple(out)
+    return tuple(
+        _allocation(tg.forced, ties, choice) for choice in _face(tg.item_neighbors, ties, guard)
+    )
 
 
 def lp_objective(

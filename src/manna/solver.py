@@ -22,6 +22,7 @@ from .preprocess import (
     DEFAULT_ENUM_GUARD,
     DEFAULT_GRID_BASE,
     DEFAULT_RETRIES,
+    Constants,
     PerturbedInstance,
     compute_constants,
     normalize_mixed,
@@ -120,27 +121,36 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()) -> tuple[Certific
         report = verify_certificate(inst, cert, opts.guard)
         return replace(cert, verification=report.to_dict()), report
 
-    last_degeneracy: DegeneracyError | None = None
-    for retry in range(opts.max_retries + 1):
-        p = perturb(
-            normalized,
-            opts.seed,
-            constants,
-            max_retries=opts.max_retries,
-            grid_base=opts.grid_base,
-            attempt_offset=retry,
-        )
-        eta = p.constants.eta
-        assert eta is not None
+    p, star = _draw_and_search(normalized, constants, opts)
+    return _finish(inst, digest, p, star, opts)
+
+
+def _draw_and_search(
+    normalized: Instance, constants: Constants, opts: SolveOptions
+) -> tuple[PerturbedInstance, StarPoint]:
+    """The first perturbation draw that is clean and whose search certifies w*.
+
+    One attempt counter covers both ways a draw can be degenerate: a
+    value-ratio cycle found by the eager scan, and an equality-graph
+    cycle met during the search.
+    """
+    last: DegeneracyError | None = None
+    for attempt in range(opts.max_retries + 1):
         try:
-            star = find_wstar(p, eta, opts.strategy)
-            return _finish(inst, digest, p, star, opts)
+            p = perturb(
+                normalized,
+                opts.seed,
+                constants,
+                max_retries=0,
+                grid_base=opts.grid_base,
+                attempt_offset=attempt,
+            )
+            return p, find_wstar(p, p.constants.eta, opts.strategy)
         except DegeneracyError as exc:
-            last_degeneracy = exc
-            continue
+            last = exc
     raise DegeneracyError(
         f"degeneracy persisted through {opts.max_retries + 1} perturbation draws",
-        cycle=None if last_degeneracy is None else last_degeneracy.cycle,
+        cycle=None if last is None else last.cycle,
     )
 
 
@@ -153,12 +163,13 @@ def _finish(
 ) -> tuple[Certificate, VerificationReport]:
     tg, prices = star.tie_graph, star.prices
     eta = p.constants.eta
-    tau = compute_tau(tg, prices)
+    face = enumerate_opt(tg)
+    tau = compute_tau(tg, prices, face)
     trace: list[dict] = []
     if opts.mode == "enumerate":
-        alloc_live = find_leveled(tg, prices, tau, expect_full=True).allocation
+        alloc_live = find_leveled(tg, prices, tau, face=face, expect_full=True).allocation
     else:
-        alloc_live = solve_by_augmenting(tg, prices, tau, star.witnesses, trace)
+        alloc_live = solve_by_augmenting(tg, prices, tau, star.witnesses, trace, face=face)
 
     swaps_bar: list[frozenset[int]] = []
     for i in range(p.n):
@@ -215,23 +226,29 @@ def explain(
     strategy: str = "auto",
     with_trace: bool = False,
 ) -> str:
-    """Human-readable dump of the pricing structure at a weight (found or given)."""
+    """Human-readable dump of the pricing structure at a weight (found or given).
+
+    Without ``w`` the weight is the w* that :func:`solve` certifies for
+    the same seed and strategy, found through the same perturbation
+    draws. A supplied ``w`` is read on the seed's first clean draw.
+    """
     normalized = normalize_mixed(inst)
     constants = compute_constants(normalized, guard)
     lines: list[str] = []
     if constants.lam is None:
         return "all-zero instance: every allocation is fair and efficient\n"
-    p = perturb(normalized, seed, constants)
-    eta = p.constants.eta
-    assert eta is not None
     star: StarPoint | None = None
     if w is None:
-        star = find_wstar(p, eta, strategy)
+        p, star = _draw_and_search(
+            normalized, constants, SolveOptions(seed=seed, strategy=strategy, guard=guard)
+        )
         weight = star.w_star
         lines.append("weight: certified common point")
     else:
+        p = perturb(normalized, seed, constants)
         weight = tuple(Fraction(x) for x in w)
         lines.append("weight: supplied")
+    eta = p.constants.eta
     lines.append("w = (" + ", ".join(format_rat(x) for x in weight) + ")")
     lines.append(f"eta = {format_rat(eta)}")
 
@@ -256,11 +273,11 @@ def explain(
     for cid in sorted(comp_items):
         lines.append(f"component {cid}: {' '.join(comp_items[cid])}")
 
-    allocs = enumerate_opt(tg)
-    lines.append(f"optimal face size: {len(allocs)}")
-    tau = compute_tau(tg, prices)
+    face = enumerate_opt(tg)
+    lines.append(f"optimal face size: {len(face)}")
+    tau = compute_tau(tg, prices, face)
     lines.append(f"tau = {format_rat(tau)}")
-    level = find_leveled(tg, prices, tau)
+    level = find_leveled(tg, prices, tau, face=face)
     for i in range(p.n):
         lines.append(
             f"p_plus a{i + 1} = {format_rat(p_plus(tg, prices, i, level.allocation[i]))}"
@@ -274,7 +291,7 @@ def explain(
         lines.append("boundary weight: support = {" + ", ".join(f"a{i + 1}" for i in sorted(support(weight))) + "}")
     if with_trace and star is not None:
         trace: list[dict] = []
-        solve_by_augmenting(tg, prices, tau, star.witnesses, trace)
+        solve_by_augmenting(tg, prices, tau, star.witnesses, trace, face=face)
         lines.append(f"augmenting trace ({len(trace)} events):")
         for event in trace:
             lines.append("  " + ", ".join(f"{k}={v}" for k, v in event.items()))

@@ -9,25 +9,31 @@ checked here flows through the artifact's public contract.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import manna
 from manna.augmenting import AugmentState, augment, root_at
 from manna.certificate import Certificate
 from manna.cli import main as cli_main
 from manna.errors import DegeneracyError
-from manna.kkm import build_star_point
+from manna.kkm import build_star_point, membership_summary
 from manna.leveling import compute_tau, p_plus
 from manna.model import Instance, is_ief1
-from manna.oracles import assignments, brute_po, brute_tau, local_search_ief1
+from manna.oracles import brute_po, brute_tau
 from manna.preprocess import (
     Constants,
     ItemClass,
     PerturbedInstance,
+    assignments,
     compute_constants,
     find_unit_ratio_cycle,
     normalize_mixed,
@@ -37,6 +43,7 @@ from manna.pricing import build_tie_graph, dual_prices, enumerate_opt, lp_object
 from manna.solver import PROFILES, generate_instance
 
 from conftest import make_chain_fixture, record_acceptance
+from local_search import local_search_ief1
 
 CORPUS_SIZE = 300
 
@@ -294,7 +301,7 @@ def test_criterion_5_augmenting_contract(corpus):
         converged += 1
         p = rebuild(run, "augment")
         eta = cert.eta
-        star = build_star_point(p, cert.w_star, eta)
+        star = build_star_point(p, membership_summary(p, cert.w_star, eta), eta)
         tg, prices = star.tie_graph, star.prices
         tau = compute_tau(tg, prices)
         for alloc in enumerate_opt(tg):
@@ -327,7 +334,7 @@ def test_criterion_5_augmenting_contract(corpus):
     # when the corpus happens to avoid deficient threshold members
     for params in [(6, 5, 2, 4, 5), (7, 4, 2, 3, 6), (8, 6, 3, 4, 6), (9, 8, 4, 5, 6)]:
         p, w, eta = make_chain_fixture(*params)
-        star = build_star_point(p, w, eta)
+        star = build_star_point(p, membership_summary(p, w, eta), eta)
         tg, prices = star.tie_graph, star.prices
         tau = compute_tau(tg, prices)
         for alloc in enumerate_opt(tg):
@@ -383,7 +390,7 @@ def test_criterion_6_restriction_lemmas(corpus):
             bad.append((run.index, f"only {produced} fair allocations generated"))
 
         eta = cert.eta
-        star = build_star_point(p, cert.w_star, eta)
+        star = build_star_point(p, membership_summary(p, cert.w_star, eta), eta)
         members = enumerate_opt(star.tie_graph)
         seen: set = set()
         for _ in range(100):
@@ -435,8 +442,19 @@ def test_criterion_7_degeneracy_handling():
     assert recovered >= 99
 
 
-def test_criterion_8_determinism_across_threads(tmp_path, monkeypatch):
-    mismatched = []
+SOLVE_ALL = """
+import sys
+from pathlib import Path
+from manna.cli import main
+codes = []
+for inst in sorted(Path(sys.argv[1]).glob("i*.json")):
+    seed = inst.stem[1:]
+    codes.append(main(["solve", str(inst), "--seed", seed, "--out", str(Path(sys.argv[2]) / f"c{seed}.json")]))
+sys.exit(1 if any(codes) else 0)
+"""
+
+
+def test_criterion_8_determinism_across_processes(tmp_path):
     for seed in range(50):
         n = 2 + seed % 2
         m = 2 + seed % 2
@@ -456,19 +474,24 @@ def test_criterion_8_determinism_across_threads(tmp_path, monkeypatch):
                 str(inst_path),
             ]
         )
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("MANNA_THREADS", threads)
-            out = tmp_path / f"c{seed}-{threads}.json"
-            code = cli_main(
-                ["solve", str(inst_path), "--seed", str(seed), "--out", str(out)]
-            )
-            outputs.append((code, out.read_bytes()))
-        monkeypatch.delenv("MANNA_THREADS")
-        if outputs[0] != outputs[1]:
-            mismatched.append(seed)
+    src = str(Path(manna.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        subprocess.run(
+            [sys.executable, "-c", SOLVE_ALL, str(tmp_path), str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        outputs.append({seed: (out / f"c{seed}.json").read_bytes() for seed in range(50)})
+    mismatched = [seed for seed in range(50) if outputs[0][seed] != outputs[1][seed]]
     record_acceptance(
-        f"criterion 8 determinism: {50 - len(mismatched)}/50 byte-identical across threads"
+        f"criterion 8 determinism: {50 - len(mismatched)}/50 byte-identical across processes "
+        "with different hash seeds"
         + (" PASS" if not mismatched else " FAIL")
     )
     assert not mismatched, mismatched

@@ -6,7 +6,7 @@ import pytest
 
 from manna.augmenting import AugmentState, augment, construct_X, root_at, solve_by_augmenting
 from manna.errors import InputError, SoundnessError
-from manna.kkm import build_star_point
+from manna.kkm import build_star_point, membership_summary
 from manna.leveling import compute_tau, p_plus
 from manna.pricing import build_tie_graph, dual_prices, enumerate_opt, price_of
 
@@ -17,7 +17,7 @@ from test_pricing import HALF, ETA
 @pytest.fixture
 def chain(chain_fixture):
     p, w, eta = chain_fixture
-    star = build_star_point(p, w, eta)
+    star = build_star_point(p, membership_summary(p, w, eta), eta)
     tg, prices = star.tie_graph, star.prices
     tau = compute_tau(tg, prices)
     return p, star, tg, prices, tau
@@ -95,7 +95,7 @@ class TestConstructX:
     def test_parameter_variants(self):
         for params in [(6, 5, 2, 4, 5), (7, 4, 2, 3, 6), (8, 6, 3, 4, 6), (9, 8, 4, 5, 6)]:
             p, w, eta = make_chain_fixture(*params)
-            star = build_star_point(p, w, eta)
+            star = build_star_point(p, membership_summary(p, w, eta), eta)
             tg, prices = star.tie_graph, star.prices
             tau = compute_tau(tg, prices)
             for alloc, lacking in deficient_members(tg, prices, tau):
@@ -151,7 +151,7 @@ class TestAugment:
 class TestSolveByAugmenting:
     def test_already_leveled_start_returns_immediately(self, disjoint_support):
         eta = F(1, 12)
-        star = build_star_point(disjoint_support, HALF, eta)
+        star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta), eta)
         tg, prices = star.tie_graph, star.prices
         tau = compute_tau(tg, prices)
         trace: list[dict] = []
@@ -170,7 +170,7 @@ class TestSolveByAugmenting:
     def test_variants_converge(self):
         for params in [(6, 5, 2, 4, 5), (7, 4, 2, 3, 6), (8, 6, 3, 4, 6), (9, 8, 4, 5, 6)]:
             p, w, eta = make_chain_fixture(*params)
-            star = build_star_point(p, w, eta)
+            star = build_star_point(p, membership_summary(p, w, eta), eta)
             tg, prices = star.tie_graph, star.prices
             tau = compute_tau(tg, prices)
             result = solve_by_augmenting(tg, prices, tau, star.witnesses)

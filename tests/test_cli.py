@@ -114,6 +114,24 @@ class TestExitCodes:
         bad.write_text(json.dumps({"agents": 1, "items": 2, "values": [[1, 2]]}))
         assert run("solve", str(bad)) == 2
 
+    def test_scalar_value_matrix(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"agents": 2, "items": 2, "values": 5}))
+        assert run("solve", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_bad_bundle_entry_in_certificate(self, e1_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run("solve", e1_file, "--seed", "5", "--out", str(cert_path))
+        data = json.loads(cert_path.read_text())
+        data["allocation_original"][0] = ["x"]
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", e1_file, str(cert_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification error:") and err.count("\n") == 1
+
     def test_subset_guard(self, tmp_path):
         wide = tmp_path / "wide.json"
         wide.write_text(

@@ -124,16 +124,6 @@ class TestFindWstar:
         b = find_wstar(p, eta, "exact")
         assert a.w_star == b.w_star
 
-    def test_thread_count_does_not_change_result(self, e1, monkeypatch):
-        consts = compute_constants(e1)
-        p = perturb(e1, 3, consts)
-        eta = p.constants.eta
-        monkeypatch.setenv("MANNA_THREADS", "1")
-        a = find_wstar(p, eta, "exact")
-        monkeypatch.setenv("MANNA_THREADS", "4")
-        b = find_wstar(p, eta, "exact")
-        assert a.w_star == b.w_star
-
     def test_three_agents_exact(self):
         p = random_perturbed(777, 3, 4)
         star = find_wstar(p, p.constants.eta, "exact")
@@ -159,5 +149,5 @@ class TestFindWstar:
 
     def test_chain_fixture_is_star_point(self, chain_fixture):
         p, w, eta = chain_fixture
-        star = build_star_point(p, w, eta)
+        star = build_star_point(p, membership_summary(p, w, eta), eta)
         assert {cw.agent for cw in star.witnesses} == {0, 1, 2}

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from manna.errors import InputError, SoundnessError
-from manna.kkm import build_star_point
+from manna.kkm import build_star_point, membership_summary
 from manna.leveling import compute_tau, find_leveled, p_plus
 from manna.oracles import brute_tau
 from manna.pricing import build_tie_graph, dual_prices, enumerate_opt, price_of
@@ -95,7 +95,7 @@ class TestFindLeveled:
 
     def test_symmetric_star_point_fully_satisfied(self, disjoint_support):
         eta = F(1, 12)
-        star = build_star_point(disjoint_support, HALF, eta)
+        star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta), eta)
         tau = compute_tau(star.tie_graph, star.prices)
         state = find_leveled(star.tie_graph, star.prices, tau, expect_full=True)
         assert state.satisfied == frozenset({0, 1})

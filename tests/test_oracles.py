@@ -13,10 +13,11 @@ from manna.oracles import (
     brute_po,
     brute_tau,
     enumerate_allocations,
-    local_search_ief1,
     verify_certificate,
 )
 from manna.solver import SolveOptions, generate_instance, solve
+
+from local_search import local_search_ief1
 
 
 def alloc(*bundles):

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from manna.errors import DegeneracyError, InputError, SizeGuardError
+from manna.errors import DegeneracyError, InputError, SizeGuardError, SoundnessError
+from manna.kkm import membership_summary
 from manna.model import Instance
 from manna.preprocess import Constants, PerturbedInstance, compute_constants, normalize_mixed, perturb
 from manna.pricing import (
@@ -117,8 +118,20 @@ class TestTieGraph:
         prices = tuple(
             max((w[i] + ETA) * p.pvalues[i][j] for i in range(2)) for j in range(3)
         )
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DegeneracyError) as err:
             build_tie_graph(p, w, ETA, prices)
+        assert err.value.cycle == (("agent", 1), ("item", 0), ("agent", 0), ("item", 1))
+        with pytest.raises(DegeneracyError) as err:
+            membership_summary(p, w, ETA)
+        assert err.value.cycle == (("agent", 1), ("item", 0), ("agent", 0), ("item", 1))
+
+    def test_prices_must_be_the_maxima(self, ebar):
+        prices = dual_prices(ebar, HALF, ETA)
+        for j in range(3):
+            for delta in (F(1, 1000), F(-1, 1000)):
+                wrong = tuple(x + delta if k == j else x for k, x in enumerate(prices))
+                with pytest.raises(SoundnessError):
+                    build_tie_graph(ebar, HALF, ETA, wrong)
 
     def test_tie_bound_and_acyclicity_random(self):
         rng = random.Random(0)
