@@ -86,6 +86,48 @@ def _decode_bundle(items: list, aux: int | None) -> frozenset[int]:
     return frozenset(decoded)
 
 
+_REQUIRED = object()
+
+
+def _field(data: dict[str, Any], key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, which must be a ``kind`` (a bool is no int here).
+
+    An absent key, or a null where a default exists, gives ``default``;
+    without one it is an error.
+    """
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise VerificationError(f"certificate field {key!r} is missing or null")
+        return default
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise VerificationError(
+            f"certificate field {key!r} must be {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _rat_list(data: dict[str, Any], key: str) -> tuple[Fraction, ...] | None:
+    values = _field(data, key, list, default=None)
+    return None if values is None else tuple(parse_rat(v) for v in values)
+
+
+def _rat_matrix(data: dict[str, Any], key: str) -> tuple[tuple[Fraction, ...], ...] | None:
+    rows = _field(data, key, list, default=None)
+    if rows is None:
+        return None
+    if not rows or not all(isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows):
+        raise VerificationError(f"certificate field {key!r} must be a non-empty rectangular matrix")
+    return tuple(tuple(parse_rat(v) for v in row) for row in rows)
+
+
+def _bundles(
+    data: dict[str, Any], key: str, aux: int | None, default: Any = _REQUIRED
+) -> tuple[frozenset[int], ...] | None:
+    bundles = _field(data, key, list, default=default)
+    return None if bundles is None else tuple(_decode_bundle(b, aux) for b in bundles)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Everything needed to re-check a solve, given the instance file.
@@ -161,48 +203,34 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> Certificate:
-        if data.get("format") != "manna-certificate/1":
+        if not isinstance(data, dict) or data.get("format") != "manna-certificate/1":
             raise VerificationError("unrecognized certificate format")
-        pv = data.get("perturbed_values")
-        perturbed = None if pv is None else tuple(tuple(parse_rat(v) for v in row) for row in pv)
+        perturbed = _rat_matrix(data, "perturbed_values")
         aux = None if perturbed is None else len(perturbed[0]) - 1
         omega_raw = data.get("omega")
         omega = None if omega_raw in (None, "inf") else parse_rat(omega_raw)
-        try:
-            return cls(
-                instance_digest=data["instance_digest"],
-                seed=data["seed"],
-                mode=data["mode"],
-                strategy=data["strategy"],
-                trivial=data["trivial"],
-                lam=_parse_opt(data.get("lambda")),
-                omega=omega,
-                omega_exact=bool(data.get("omega_exact", True)),
-                epsilon=_parse_opt(data.get("epsilon")),
-                eta=_parse_opt(data.get("eta")),
-                perturbed_values=perturbed,
-                w_star=None
-                if data.get("w_star") is None
-                else tuple(parse_rat(x) for x in data["w_star"]),
-                prices=None
-                if data.get("prices") is None
-                else tuple(parse_rat(x) for x in data["prices"]),
-                tau=_parse_opt(data.get("tau")),
-                allocation_perturbed=None
-                if data.get("allocation_perturbed") is None
-                else tuple(_decode_bundle(b, aux) for b in data["allocation_perturbed"]),
-                allocation_original=tuple(
-                    _decode_bundle(b, None) for b in data["allocation_original"]
-                ),
-                swaps_perturbed=None
-                if data.get("swaps_perturbed") is None
-                else tuple(_decode_bundle(s, aux) for s in data["swaps_perturbed"]),
-                swaps_original=tuple(_decode_bundle(s, None) for s in data["swaps_original"]),
-                verification=data.get("verification", {}),
-                trace=tuple(data.get("trace", ())),
-            )
-        except KeyError as exc:
-            raise VerificationError(f"certificate missing field {exc}") from None
+        return cls(
+            instance_digest=_field(data, "instance_digest", str),
+            seed=_field(data, "seed", int),
+            mode=_field(data, "mode", str),
+            strategy=_field(data, "strategy", str),
+            trivial=_field(data, "trivial", bool),
+            lam=_parse_opt(data.get("lambda")),
+            omega=omega,
+            omega_exact=_field(data, "omega_exact", bool, default=True),
+            epsilon=_parse_opt(data.get("epsilon")),
+            eta=_parse_opt(data.get("eta")),
+            perturbed_values=perturbed,
+            w_star=_rat_list(data, "w_star"),
+            prices=_rat_list(data, "prices"),
+            tau=_parse_opt(data.get("tau")),
+            allocation_perturbed=_bundles(data, "allocation_perturbed", aux, default=None),
+            allocation_original=_bundles(data, "allocation_original", None),
+            swaps_perturbed=_bundles(data, "swaps_perturbed", aux, default=None),
+            swaps_original=_bundles(data, "swaps_original", None),
+            verification=_field(data, "verification", dict, default={}),
+            trace=tuple(_field(data, "trace", list, default=[])),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> Certificate:

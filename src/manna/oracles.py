@@ -6,6 +6,13 @@ whole allocation space on objective equality, and the certificate
 checker that re-derives prices and constants from first principles.
 None of it shares code paths with the solver's structural shortcuts,
 so agreement is meaningful evidence.
+
+The exception is the constants: the verifier recomputes lambda and
+omega with the same integer sumsets as the solver
+(:func:`manna.preprocess.compute_lambda`, :func:`compute_omega`). Their
+independent cross-check is the definitional enumeration in
+``tests/reference_constants.py``, which the property tests compare them
+against.
 """
 
 from __future__ import annotations

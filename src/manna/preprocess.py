@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -85,43 +86,58 @@ def classify_items(inst: Instance) -> tuple[dict[int, ItemClass], frozenset[int]
     return classes, frozenset(degenerate)
 
 
+def _scaled(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """``matrix`` times the common denominator of its entries, as ints, and that scale."""
+    scale = denominators_lcm(matrix)
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+
+
+def _sumset_min_gap(columns: Sequence[Sequence[int]], guard: int | None = None) -> int | None:
+    """Smallest positive gap in the sumset C_0 + C_1 + ... of the integer columns.
+
+    Builds the set of reachable sums column by column. ``guard`` bounds
+    the work: the sum over columns of (sums so far) x (distinct values
+    in the column), checked before each column is added. Returns None
+    when the sumset has a single element.
+    """
+    sums = {0}
+    work = 0
+    for col in columns:
+        distinct = set(col)
+        work += len(sums) * len(distinct)
+        if guard is not None and work > guard:
+            raise SizeGuardError(f"sumset work {work} exceeds guard {guard}")
+        sums = {s + c for c in distinct for s in sums}
+    ordered = sorted(sums)
+    return min((b - a for a, b in zip(ordered, ordered[1:])), default=None)
+
+
 def compute_lambda(inst: Instance) -> Fraction | None:
     """Minimum positive per-agent gap between any two bundle values.
 
     Returns None when all values are zero (no positive gap exists).
-    Brute force over each agent's 2^m subset sums.
+    For each agent, the bundle values are the sumset of ``{0, v}`` over
+    that agent's values, built item by item on integers.
     """
     if inst.m > LAMBDA_SUBSET_GUARD:
         raise SizeGuardError(f"subset-sum enumeration infeasible for m={inst.m}")
-    best: Fraction | None = None
-    for i in range(inst.n):
-        sums = {Fraction(0)}
-        for v in inst.values[i]:
-            sums |= {s + v for s in sums}
-        ordered = sorted(sums)
-        for a, b in zip(ordered, ordered[1:]):
-            gap = b - a
-            if best is None or gap < best:
-                best = gap
-    return best
+    rows, scale = _scaled(inst.values)
+    gaps = [gap for row in rows if (gap := _sumset_min_gap([(0, v) for v in row])) is not None]
+    return Fraction(min(gaps), scale) if gaps else None
 
 
 def compute_omega(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Fraction | None:
     """Minimum positive gap between social-welfare values of allocations.
 
     Returns None when every complete allocation has the same welfare.
-    Enumerates all n^m allocations; callers beyond the guard should use
-    :func:`omega_lower_bound` instead.
+    The achievable welfares are the sumset of the item columns
+    ``{v[i][j] : i}``, built item by item on integers; ``guard`` bounds
+    that work (see :func:`_sumset_min_gap`), not ``n^m``. Callers
+    beyond the guard should use :func:`omega_lower_bound` instead.
     """
-    welfares: set[Fraction] = set()
-    for assignment in assignments(inst.n, inst.m, guard):
-        w = Fraction(0)
-        for j, holder in enumerate(assignment):
-            w += inst.values[holder][j]
-        welfares.add(w)
-    ordered = sorted(welfares)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-    return min(gaps) if gaps else None
+    rows, scale = _scaled(inst.values)
+    gap = _sumset_min_gap(list(zip(*rows)), guard)
+    return None if gap is None else Fraction(gap, scale)
 
 
 def assignments(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[tuple[int, ...]]:
@@ -238,13 +254,15 @@ class PerturbedInstance:
     def aux_item(self) -> int:
         return self.base.m
 
-    @property
+    # cached_property writes the instance __dict__ directly, which the
+    # frozen dataclass's __setattr__ does not intercept
+    @cached_property
     def zero_items(self) -> frozenset[int]:
         return frozenset(
             j for j in range(self.m + 1) if all(self.pvalues[i][j] == 0 for i in range(self.n))
         )
 
-    @property
+    @cached_property
     def live_items(self) -> tuple[int, ...]:
         zero = self.zero_items
         return tuple(j for j in range(self.m + 1) if j not in zero)

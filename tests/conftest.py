@@ -3,9 +3,15 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from manna.model import Instance
 from manna.preprocess import Constants, PerturbedInstance
+
+# Property tests draw the same examples on every run, and a slow machine
+# cannot fail them on time.
+settings.register_profile("manna", derandomize=True, deadline=None)
+settings.load_profile("manna")
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -132,6 +132,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("verification error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("perturbed_values", []),
+            ("w_star", 5),
+            ("allocation_original", 5),
+            ("seed", "x"),
+        ],
+        ids=["empty-perturbed-values", "scalar-w-star", "scalar-allocation", "string-seed"],
+    )
+    def test_mistyped_certificate_field(self, e1_file, tmp_path, capsys, field, value):
+        cert_path = tmp_path / "cert.json"
+        run("solve", e1_file, "--seed", "5", "--out", str(cert_path))
+        data = json.loads(cert_path.read_text())
+        data[field] = value
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", e1_file, str(cert_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification error:") and err.count("\n") == 1
+        assert repr(field) in err
+
     def test_subset_guard(self, tmp_path):
         wide = tmp_path / "wide.json"
         wide.write_text(

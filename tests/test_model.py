@@ -75,7 +75,7 @@ class TestSymDiff:
         b=st.frozensets(st.integers(0, 8)),
         c=st.frozensets(st.integers(0, 8)),
     )
-    @settings(max_examples=60, derandomize=True)
+    @settings(max_examples=60)
     def test_algebra(self, a, b, c):
         assert sym_diff(a, b) == sym_diff(b, a)
         assert sym_diff(sym_diff(a, b), c) == sym_diff(a, sym_diff(b, c))
@@ -129,7 +129,7 @@ class TestParetoDominates:
         assert not pareto_dominates(e1, alloc({0, 1}, ()), alloc((), {0, 1}))
 
     @given(data=st.data())
-    @settings(max_examples=60, derandomize=True)
+    @settings(max_examples=60)
     def test_dominance_implies_strictly_larger_welfare(self, data):
         n, m = 2, 3
         rows = data.draw(

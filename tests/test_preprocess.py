@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import manna.preprocess as pp
 from manna.errors import DegeneracyError, InputError, SizeGuardError
@@ -23,6 +25,7 @@ from manna.preprocess import (
     perturb,
     restrict,
 )
+from reference_constants import reference_lambda, reference_omega
 
 
 class TestNormalizeMixed:
@@ -106,6 +109,78 @@ class TestOmega:
     def test_lower_bound_is_conservative(self, e1):
         omega = compute_omega(e1)
         assert omega_lower_bound(e1) <= omega
+
+    def test_exact_far_beyond_allocation_count(self):
+        # 2^40 allocations, but the welfares are 6a - 10b for a, b in 0..20:
+        # all even, and 6*2 - 10*1 = 2
+        inst = Instance.from_rows([[6] * 20 + [-10] * 20, [0] * 40])
+        assert compute_omega(inst) == F(2)
+
+    def test_guard_counts_sumset_work(self):
+        # unit fractions with pairwise-coprime denominators: all 2^6 subset
+        # sums differ, so the sumset work is 2 * (2^6 - 1) = 126
+        inst = Instance.from_rows([[F(1, q) for q in (2, 3, 5, 7, 11, 13)], [0] * 6])
+        assert compute_omega(inst, guard=126) == reference_omega(inst)
+        with pytest.raises(SizeGuardError):
+            compute_omega(inst, guard=50)
+        consts = compute_constants(inst, guard=50)
+        assert consts.omega == omega_lower_bound(inst) and consts.omega_exact is False
+
+
+DENOMINATORS = (1, 2, 3, 5, 7)
+rationals = st.builds(F, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
+positives = st.builds(F, st.integers(1, 6), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def instances(draw) -> Instance:
+    """Small instances mixing the column kinds the constants must handle."""
+    # n^m <= 4^8 keeps the reference enumeration under 10^5 allocations
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 8))
+    shape = draw(st.sampled_from(("columns", "identical", "proportional")))
+    if shape == "identical":
+        row = draw(st.lists(rationals, min_size=m, max_size=m))
+        return Instance.from_rows([row] * n)
+    if shape == "proportional":
+        row = draw(st.lists(rationals, min_size=m, max_size=m))
+        factors = draw(st.lists(positives, min_size=n, max_size=n))
+        return Instance.from_rows([[c * v for v in row] for c in factors])
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("any", "negative", "zero", "zero-positive", "constant")))
+        if kind == "any":
+            col = draw(st.lists(rationals, min_size=n, max_size=n))
+        elif kind == "negative":
+            col = [-v for v in draw(st.lists(positives, min_size=n, max_size=n))]
+        elif kind == "zero":
+            col = [F(0)] * n
+        elif kind == "zero-positive":
+            col = [F(0)] + draw(st.lists(st.just(F(0)) | positives, min_size=n - 1, max_size=n - 1))
+            col = draw(st.permutations(col))
+        else:
+            col = [draw(rationals)] * n
+        columns.append(col)
+    return Instance.from_rows([[col[i] for col in columns] for i in range(n)])
+
+
+class TestConstantsAgainstEnumeration:
+    """The sumset constants equal the definitional Fraction enumerations."""
+
+    @given(inst=instances())
+    @settings(max_examples=150)
+    def test_omega(self, inst):
+        assert compute_omega(inst) == reference_omega(inst)
+
+    @given(inst=instances())
+    @settings(max_examples=150)
+    def test_lambda(self, inst):
+        assert compute_lambda(inst) == reference_lambda(inst)
+
+    @given(row=st.lists(rationals, min_size=2, max_size=6), n=st.integers(2, 4))
+    def test_identical_rows_have_no_welfare_gap(self, row, n):
+        inst = Instance.from_rows([row] * n)
+        assert compute_omega(inst) is None and reference_omega(inst) is None
 
 
 class TestChooseEpsilon:
