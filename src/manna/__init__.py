@@ -14,7 +14,6 @@ from .errors import (
     DegeneracyError,
     InputError,
     MannaError,
-    SearchUnresolvedError,
     SizeGuardError,
     SoundnessError,
     VerificationError,

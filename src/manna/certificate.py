@@ -59,10 +59,6 @@ def _rat_or_none(v: Fraction | None) -> str | None:
     return None if v is None else format_rat(v)
 
 
-def _parse_opt(v: str | None) -> Fraction | None:
-    return None if v is None else parse_rat(v)
-
-
 def _encode_bundle(bundle: frozenset[int], aux: int | None) -> list:
     out: list = []
     for t in sorted(bundle):
@@ -107,9 +103,22 @@ def _field(data: dict[str, Any], key: str, kind: type, default: Any = _REQUIRED)
     return value
 
 
+def _rat(key: str, value: Any) -> Fraction:
+    """``parse_rat`` for a value of certificate field ``key``."""
+    try:
+        return parse_rat(value)
+    except InputError as exc:
+        raise VerificationError(f"certificate field {key!r}: {exc}") from None
+
+
+def _opt_rat(data: dict[str, Any], key: str) -> Fraction | None:
+    value = data.get(key)
+    return None if value is None else _rat(key, value)
+
+
 def _rat_list(data: dict[str, Any], key: str) -> tuple[Fraction, ...] | None:
     values = _field(data, key, list, default=None)
-    return None if values is None else tuple(parse_rat(v) for v in values)
+    return None if values is None else tuple(_rat(key, v) for v in values)
 
 
 def _rat_matrix(data: dict[str, Any], key: str) -> tuple[tuple[Fraction, ...], ...] | None:
@@ -118,7 +127,7 @@ def _rat_matrix(data: dict[str, Any], key: str) -> tuple[tuple[Fraction, ...], .
         return None
     if not rows or not all(isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows):
         raise VerificationError(f"certificate field {key!r} must be a non-empty rectangular matrix")
-    return tuple(tuple(parse_rat(v) for v in row) for row in rows)
+    return tuple(tuple(_rat(key, v) for v in row) for row in rows)
 
 
 def _bundles(
@@ -207,23 +216,22 @@ class Certificate:
             raise VerificationError("unrecognized certificate format")
         perturbed = _rat_matrix(data, "perturbed_values")
         aux = None if perturbed is None else len(perturbed[0]) - 1
-        omega_raw = data.get("omega")
-        omega = None if omega_raw in (None, "inf") else parse_rat(omega_raw)
+        omega = None if data.get("omega") == "inf" else _opt_rat(data, "omega")
         return cls(
             instance_digest=_field(data, "instance_digest", str),
             seed=_field(data, "seed", int),
             mode=_field(data, "mode", str),
             strategy=_field(data, "strategy", str),
             trivial=_field(data, "trivial", bool),
-            lam=_parse_opt(data.get("lambda")),
+            lam=_opt_rat(data, "lambda"),
             omega=omega,
             omega_exact=_field(data, "omega_exact", bool, default=True),
-            epsilon=_parse_opt(data.get("epsilon")),
-            eta=_parse_opt(data.get("eta")),
+            epsilon=_opt_rat(data, "epsilon"),
+            eta=_opt_rat(data, "eta"),
             perturbed_values=perturbed,
             w_star=_rat_list(data, "w_star"),
             prices=_rat_list(data, "prices"),
-            tau=_parse_opt(data.get("tau")),
+            tau=_opt_rat(data, "tau"),
             allocation_perturbed=_bundles(data, "allocation_perturbed", aux, default=None),
             allocation_original=_bundles(data, "allocation_original", None),
             swaps_perturbed=_bundles(data, "swaps_perturbed", aux, default=None),

@@ -1,8 +1,9 @@
 """Command line front end: gen, solve, verify, explain.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 size
-guard exceeded, 4 search unresolved, 5 degeneracy retries exhausted,
-70 internal invariant violation.
+guard exceeded, 5 degeneracy retries exhausted, 70 internal invariant
+violation. Code 4 is unused: the search for w* is exact and never gives
+up, and more than 3 agents is an input error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import (
     DegeneracyError,
     InputError,
     MannaError,
-    SearchUnresolvedError,
     SizeGuardError,
     SoundnessError,
     VerificationError,
@@ -31,7 +31,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
-EXIT_UNRESOLVED = 4
 EXIT_DEGENERACY = 5
 EXIT_INTERNAL = 70
 
@@ -65,7 +64,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     opts = SolveOptions(
         seed=args.seed,
         mode=args.mode,
-        strategy=args.strategy,
         guard=args.guard,
         grid_base=args.max_denominator,
         keep_trace=args.trace,
@@ -119,7 +117,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         seed=args.seed,
         w=w,
         guard=args.guard,
-        strategy=args.strategy,
         with_trace=args.trace,
     )
     sys.stdout.write(text)
@@ -146,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("instance")
     slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--mode", choices=("enumerate", "augment"), default="enumerate")
-    slv.add_argument("--strategy", choices=("auto", "exact", "subdivision"), default="auto")
     slv.add_argument("--guard", type=int, default=DEFAULT_ENUM_GUARD)
     slv.add_argument("--max-denominator", type=int, default=DEFAULT_GRID_BASE)
     slv.add_argument("--all-witnesses", action="store_true")
@@ -165,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--w", default=None, help="comma-separated rational weights, e.g. 1/2,1/2")
     exp.add_argument("--guard", type=int, default=DEFAULT_ENUM_GUARD)
-    exp.add_argument("--strategy", choices=("auto", "exact", "subdivision"), default="auto")
     exp.add_argument("--trace", action="store_true")
     exp.set_defaults(func=_cmd_explain)
 
@@ -183,11 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         sys.stderr.write(f"size guard: {exc}\n")
         return EXIT_GUARD
-    except SearchUnresolvedError as exc:
-        sys.stderr.write(f"search unresolved: {exc}\n")
-        if exc.diameter is not None:
-            sys.stderr.write(f"best fully-labeled simplex diameter: {exc.diameter}\n")
-        return EXIT_UNRESOLVED
     except DegeneracyError as exc:
         sys.stderr.write(f"degeneracy: {exc}\n")
         if exc.cycle:

@@ -1,6 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping for the CLI lives in ``manna.cli``.
+Exit-code mapping for the CLI lives in ``manna.cli``. The search for w*
+is exact for at most 3 agents and has no unresolved outcome: more agents
+is an :class:`InputError`, and running out of candidates a
+:class:`SoundnessError`.
 """
 
 from __future__ import annotations
@@ -28,15 +31,6 @@ class DegeneracyError(MannaError):
     def __init__(self, message: str, cycle: tuple | None = None):
         super().__init__(message)
         self.cycle = cycle
-
-
-class SearchUnresolvedError(MannaError):
-    """The subdivision search hit its depth limit without certifying a point."""
-
-    def __init__(self, message: str, best_simplex=None, diameter=None):
-        super().__init__(message)
-        self.best_simplex = best_simplex
-        self.diameter = diameter
 
 
 class SoundnessError(MannaError):

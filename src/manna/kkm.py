@@ -7,24 +7,40 @@ supported-coordinate sense, so they intersect; the solver must actually
 locate a rational point of the intersection and certify it by direct
 membership tests.
 
-Two strategies are provided. The exact strategy (n <= 3) enumerates a
-finite candidate set built from the arrangement of critical lines:
-item-tie loci where two agents price an item equally, and bundle-tie
-loci where two bundle prices of a locally-constant optimal allocation
-coincide. Membership is constant on the relative interior of every
-face of this arrangement and the regions are closed, so any nonempty
-intersection contains an arrangement vertex; the candidate set
-therefore consists of vertices (plus cheap interior representatives for
-robustness). The subdivision strategy (any n) refines barycentric
-subdivisions around fully-labeled simplices and tests all vertices and
-centroids exactly; it reports failure rather than approximating.
+The search supports n <= 3. It works in the coordinates
+t = (w_0, ..., w_{n-2}), in which every price (w_i + eta) v[i][j] is an
+affine form. The item-tie arrangement is cut by the n simplex facets and
+by one hyperplane per live item and agent pair on which the two agents
+price the item equally; each of its vertices is one exact Gaussian
+solve. The search certifies the lexicographically smallest common point
+w*, and w* is always one of these candidates:
+
+- a vertex of the arrangement;
+- for n = 3, on an edge, the crossing of the edge's line with a
+  bundle-tie line B_a = B_b of an allocation optimal on the edge;
+- inside a cell, where all bundle prices of the cell's one optimal
+  allocation are equal.
+
+The reason: the common set is closed and lies in the bounded simplex, so
+its lexicographic minimum exists and lies in the relative interior of
+some face F of the arrangement. The optimal face is constant on that
+relative interior, and membership there is decided by the signs of
+bundle-price differences of its allocations. If F is not a vertex, one
+of those differences must change sign at w* (a lexicographic minimum is
+never interior to a segment of the common set): that is a bundle-tie
+crossing on an edge, or the all-equal point in a cell, where every agent
+tops the same single allocation. Every face has a vertex v in its
+closure, and the optimal face at v contains every allocation optimal on
+F, so the candidates are generated from each vertex v, each member x of
+its optimal face, and each hyperplane through v; a point is kept only
+where x is still optimal. Membership is tested in lexicographic order,
+so midpoints and cell representatives, which are never the first
+certified point, are not generated.
 
 Every structure at a weight comes from one builder,
-:func:`manna.pricing.price_forest`: the membership summary of a
-candidate, the argmax map of a cell representative (built once per
-representative), and the bundle-tie forms at a 1-face midpoint. The
-certified point is assembled from the winning candidate's summary, so
-the optimal face at w* is not enumerated again here.
+:func:`manna.pricing.price_forest`. The certified point is assembled
+from the winning candidate's summary, so the optimal face at w* is not
+enumerated again here.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InputError, SearchUnresolvedError, SoundnessError
+from .errors import InputError, SoundnessError
 from .model import Allocation
 from .preprocess import PerturbedInstance
 from .pricing import (
@@ -49,9 +65,7 @@ from .pricing import (
 )
 
 Weight = tuple[Fraction, ...]
-
-DEFAULT_MAX_DEPTH = 24
-DEFAULT_SIMPLEX_BUDGET = 20_000
+Form = tuple[Fraction, ...]  # a . t + c as (a_0, ..., a_{n-2}, c)
 
 
 @dataclass(frozen=True)
@@ -168,343 +182,124 @@ def build_star_point(p: PerturbedInstance, summary: MembershipSummary, eta: Frac
     return StarPoint(w_star=summary.w, witnesses=witnesses, prices=prices, tie_graph=tg)
 
 
-def _sigma_at(p: PerturbedInstance, w: Weight, eta: Fraction) -> tuple[int, ...]:
-    """Unique price-attaining agent of each live item; raises if any item ties."""
-    forest = price_forest(p, w, eta)
-    if forest.ties:
-        raise SoundnessError(
-            f"cell representative unexpectedly lies on a tie locus (item {forest.ties[0]})"
-        )
-    return tuple(hs[0] for hs in forest.holders.values())
-
-
 # ---------------------------------------------------------------------------
-# exact strategy, n = 2: breakpoints on the segment w = (t, 1 - t)
+# exact search over the item-tie arrangement in t = (w_0, ..., w_{n-2})
 
 
-def _segment_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
-    live = p.live_items
-    pts: set[Fraction] = {Fraction(0), Fraction(1)}
-    for j in live:
-        a, b = p.pvalues[0][j], p.pvalues[1][j]
-        if a + b == 0:
-            continue
-        t = (b + eta * (b - a)) / (a + b)
-        if 0 <= t <= 1:
-            pts.add(t)
-    breakpoints = sorted(pts)
-    roots: set[Fraction] = set()
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        mid = (lo + hi) / 2
-        sigma = _sigma_at(p, (mid, 1 - mid), eta)
-        # bundle price gap f(t) = sum_{holder 0} (t+eta) v - sum_{holder 1} (1-t+eta) v
-        alpha = Fraction(0)
-        beta = Fraction(0)
-        for j, holder in zip(live, sigma):
-            v = p.pvalues[holder][j]
-            if holder == 0:
-                alpha += v
-                beta += eta * v
-            else:
-                alpha += v
-                beta -= (1 + eta) * v
-        if alpha != 0:
-            t = -beta / alpha
-            if lo < t < hi:
-                roots.add(t)
-    pts |= roots
-    ordered = sorted(pts)
-    mids = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
-    final = sorted(set(ordered) | set(mids))
-    return [(t, 1 - t) for t in final]
+def _weight_form(n: int, agent: int) -> Form:
+    if agent < n - 1:
+        return tuple(Fraction(k == agent) for k in range(n - 1)) + (Fraction(0),)
+    return (Fraction(-1),) * (n - 1) + (Fraction(1),)
 
 
-# ---------------------------------------------------------------------------
-# exact strategy, n = 3: line arrangement in the plane w = (x, y, 1 - x - y)
-
-Form = tuple[Fraction, Fraction, Fraction]  # cx * x + cy * y + c0
-Line = tuple[Fraction, Fraction, Fraction]  # A * x + B * y = C, canonical
-
-
-def _price_form(p: PerturbedInstance, agent: int, item: int, eta: Fraction) -> Form:
+def _price_form(p: PerturbedInstance, eta: Fraction, agent: int, item: int) -> Form:
     v = p.pvalues[agent][item]
-    if agent == 0:
-        return (v, Fraction(0), eta * v)
-    if agent == 1:
-        return (Fraction(0), v, eta * v)
-    return (-v, -v, (1 + eta) * v)
+    *a, c = _weight_form(p.n, agent)
+    return tuple(v * x for x in a) + (v * (c + eta),)
 
 
-def _form_sub(a: Form, b: Form) -> Form:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+def _sub(f: Form, g: Form) -> Form:
+    return tuple(x - y for x, y in zip(f, g))
 
 
-def _form_add(a: Form, b: Form) -> Form:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+def _hyperplane(f: Form) -> Form | None:
+    """The form scaled so its first nonzero coefficient is 1; None if constant."""
+    lead = next((x for x in f[:-1] if x != 0), None)
+    return None if lead is None else tuple(x / lead for x in f)
 
 
-def _form_eval(f: Form, pt: tuple[Fraction, Fraction]) -> Fraction:
-    return f[0] * pt[0] + f[1] * pt[1] + f[2]
+def _solve(forms: Sequence[Form]) -> tuple[Fraction, ...] | None:
+    """The unique t at which all ``len(t)`` forms vanish, or None."""
+    d = len(forms)
+    rows = [list(f[:d]) + [-f[d]] for f in forms]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                k = rows[r][col] / rows[col][col]
+                rows[r] = [x - k * y for x, y in zip(rows[r], rows[col])]
+    return tuple(rows[k][d] / rows[k][k] for k in range(d))
 
 
-def _line_of(form: Form) -> Line | None:
-    cx, cy, c0 = form
-    if cx == 0 and cy == 0:
-        return None
-    if cx != 0:
-        return (Fraction(1), cy / cx, -c0 / cx)
-    return (Fraction(0), Fraction(1), -c0 / cy)
+def _inside(t: tuple[Fraction, ...]) -> bool:
+    return all(x >= 0 for x in t) and sum(t) <= 1
 
 
-def _intersect(l1: Line, l2: Line) -> tuple[Fraction, Fraction] | None:
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    x = (c1 * b2 - c2 * b1) / det
-    y = (a1 * c2 - a2 * c1) / det
-    return (x, y)
+def _weight(t: tuple[Fraction, ...]) -> Weight:
+    return t + (1 - sum(t),)
 
 
-def _in_triangle(pt: tuple[Fraction, Fraction]) -> bool:
-    x, y = pt
-    return x >= 0 and y >= 0 and x + y <= 1
+def _holds(p: PerturbedInstance, eta: Fraction, t: tuple[Fraction, ...], sigma: tuple[int, ...]) -> bool:
+    """Whether every live item's holder in ``sigma`` still attains its price at ``t``."""
+    mult = [x + eta for x in _weight(t)]
+    return all(
+        mult[h] * p.pvalues[h][j] == max(mult[i] * p.pvalues[i][j] for i in range(p.n))
+        for j, h in zip(p.live_items, sigma)
+    )
 
 
-def _plane_candidates(p: PerturbedInstance, eta: Fraction) -> list[Weight]:
-    live = p.live_items
-    lines: set[Line] = {
-        (Fraction(1), Fraction(0), Fraction(0)),  # x = 0
-        (Fraction(0), Fraction(1), Fraction(0)),  # y = 0
-        (Fraction(1), Fraction(1), Fraction(1)),  # x + y = 1
-    }
-    for j in live:
-        for a, b in itertools.combinations(range(3), 2):
-            line = _line_of(_form_sub(_price_form(p, a, j, eta), _price_form(p, b, j, eta)))
-            if line is not None:
-                lines.add(line)
-    line_list = sorted(lines)
-
-    corners = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    vertices: set[tuple[Fraction, Fraction]] = set(corners)
-    for l1, l2 in itertools.combinations(line_list, 2):
-        pt = _intersect(l1, l2)
-        if pt is not None and _in_triangle(pt):
-            vertices.add(pt)
-
-    candidates: set[tuple[Fraction, Fraction]] = set(vertices)
-
-    # 1-dimensional faces: walk each line's in-triangle segments
-    for line in line_list:
-        a, b, c = line
-        on_line = sorted(
-            (pt for pt in vertices if a * pt[0] + b * pt[1] == c),
-            key=lambda q: (-b * q[0] + a * q[1]),
-        )
-        for p1, p2 in zip(on_line, on_line[1:]):
-            if p1 == p2:
-                continue
-            mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-            candidates.add(mid)
-            for f in _bundle_tie_forms_at(p, mid, eta):
-                v1, v2 = _form_eval(f, p1), _form_eval(f, p2)
-                if v1 == v2:
-                    continue
-                u = v1 / (v1 - v2)
-                if 0 < u < 1:
-                    candidates.add((p1[0] + u * (p2[0] - p1[0]), p1[1] + u * (p2[1] - p1[1])))
-
-    # 2-dimensional cells: slab interior representatives, then their
-    # all-bundles-equal points
-    xs = sorted({pt[0] for pt in vertices})
-    sigmas: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-    for x1, x2 in zip(xs, xs[1:]):
-        xm = (x1 + x2) / 2
-        ylim = 1 - xm
-        crossings: set[Fraction] = set()
-        for a, b, c in line_list:
-            if b == 0:
-                continue
-            y = (c - a * xm) / b
-            if 0 <= y <= ylim:
-                crossings.add(y)
-        ys = sorted(crossings)
-        for y1, y2 in zip(ys, ys[1:]):
-            rep = (xm, (y1 + y2) / 2)
-            sigma = _sigma_at(p, (rep[0], rep[1], 1 - rep[0] - rep[1]), eta)
-            sigmas.setdefault(sigma, rep)
-    for sigma, rep in sorted(sigmas.items()):
-        candidates.add(rep)
-        bundle_forms = [
-            (Fraction(0), Fraction(0), Fraction(0)) for _ in range(3)
-        ]
-        for j, holder in zip(live, sigma):
-            bundle_forms[holder] = _form_add(bundle_forms[holder], _price_form(p, holder, j, eta))
-        f01 = _form_sub(bundle_forms[0], bundle_forms[1])
-        f02 = _form_sub(bundle_forms[0], bundle_forms[2])
-        l01, l02 = _line_of(f01), _line_of(f02)
-        if l01 is None and f01[2] != 0:
-            continue
-        if l02 is None and f02[2] != 0:
-            continue
-        if l01 is not None and l02 is not None:
-            pt = _intersect(l01, l02)
-            if pt is None or not _in_triangle(pt):
-                continue
-            holders = price_forest(p, (pt[0], pt[1], 1 - pt[0] - pt[1]), eta).holders
-            if all(holder in holders[j] for j, holder in zip(live, sigma)):
-                candidates.add(pt)
-        # one degenerate pair: the all-equal locus is a whole line whose
-        # triangle crossings are already covered by the 1-face pass
-
-    ordered = sorted(candidates)
-    out: list[Weight] = []
-    for x, y in ordered:
-        out.append((x, y, 1 - x - y))
-    return out
-
-
-def _bundle_tie_forms_at(
-    p: PerturbedInstance, pt: tuple[Fraction, Fraction], eta: Fraction
-) -> list[Form]:
-    """Bundle price difference forms of every optimal-face allocation at a point.
-
-    A tie item enters every bundle with the price form of its smallest
-    holder; all its holders' forms agree on the tie line through ``pt``.
-    """
-    forest = price_forest(p, (pt[0], pt[1], 1 - pt[0] - pt[1]), eta)
-    zero: Form = (Fraction(0), Fraction(0), Fraction(0))
-    base = [zero] * 3
-    for j, hs in forest.holders.items():
-        if len(hs) == 1:
-            base[hs[0]] = _form_add(base[hs[0]], _price_form(p, hs[0], j, eta))
-    tie_forms = [_price_form(p, forest.holders[j][0], j, eta) for j in forest.ties]
-    forms: list[Form] = []
-    for choice in forest.face():
-        bundle_forms = list(base)
-        for form, holder in zip(tie_forms, choice):
-            bundle_forms[holder] = _form_add(bundle_forms[holder], form)
-        for a, b in itertools.combinations(range(3), 2):
-            forms.append(_form_sub(bundle_forms[a], bundle_forms[b]))
-    return forms
-
-
-# ---------------------------------------------------------------------------
-# candidate driver and subdivision strategy
-
-
-def find_wstar(
-    p: PerturbedInstance,
-    eta: Fraction,
-    strategy: str = "auto",
-    *,
-    face_guard: int = DEFAULT_FACE_GUARD,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
-) -> StarPoint:
-    """Locate and certify a weight in the intersection of all membership regions.
-
-    ``strategy`` is "exact", "subdivision", or "auto" (exact when
-    n <= 3). The exact strategy is complete for its supported sizes; an
-    exhausted candidate set is a soundness violation worth reporting
-    with the instance attached. The subdivision strategy reports an
-    unresolved search rather than returning an uncertified point.
-    """
-    if strategy == "auto":
-        strategy = "exact" if p.n <= 3 else "subdivision"
-    if strategy == "exact":
-        if p.n > 3:
-            raise InputError("exact strategy supports at most 3 agents; use subdivision")
-        candidates = (
-            _segment_candidates(p, eta) if p.n == 2 else _plane_candidates(p, eta)
-        )
-        for w in candidates:
-            summary = membership_summary(p, w, eta, face_guard)
-            if len(summary.winners) == p.n:
-                return build_star_point(p, summary, eta)
-        raise SoundnessError(
-            f"exact search exhausted {len(candidates)} candidates without a common point "
-            f"(n={p.n}, m={p.m}, seed={p.seed}); this indicates degeneracy or a bug"
-        )
-    if strategy == "subdivision":
-        return _subdivision_search(
-            p, eta, face_guard=face_guard, max_depth=max_depth, simplex_budget=simplex_budget
-        )
-    raise InputError(f"unknown strategy {strategy!r}")
-
-
-def _subdivision_search(
-    p: PerturbedInstance,
-    eta: Fraction,
-    *,
-    face_guard: int,
-    max_depth: int,
-    simplex_budget: int,
-) -> StarPoint:
-    n = p.n
-    needed = frozenset(range(n))
-    unit = [
-        tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)) for i in range(n)
+def _candidates(p: PerturbedInstance, eta: Fraction, face_guard: int) -> list[Weight]:
+    """Arrangement vertices, bundle-tie crossings and all-equal points, lexicographic."""
+    n, live = p.n, p.live_items
+    forms = {(i, j): _price_form(p, eta, i, j) for i in range(n) for j in live}
+    raw = [_weight_form(n, i) for i in range(n)] + [
+        _sub(forms[a, j], forms[b, j]) for j in live for a, b in itertools.combinations(range(n), 2)
     ]
-    root = tuple(unit)
+    planes = sorted({h for h in map(_hyperplane, raw) if h is not None})
+    through: dict[tuple[Fraction, ...], set[int]] = {}
+    for subset in itertools.combinations(range(len(planes)), n - 1):
+        t = _solve([planes[k] for k in subset])
+        if t is not None and _inside(t):
+            through.setdefault(t, set()).update(subset)
 
-    summaries: dict[Weight, MembershipSummary] = {}
-    labels_cache: dict[Weight, int] = {}
+    points = set(through)
+    bundle_forms: dict[tuple[int, ...], list[Form]] = {}
+    crossed: set[tuple[tuple[int, ...], int]] = set()
+    for v, lines in through.items():
+        forest = price_forest(p, _weight(v), eta)
+        for choice in forest.face(face_guard):
+            holder = {j: hs[0] for j, hs in forest.holders.items()}
+            holder.update(zip(forest.ties, choice))
+            sigma = tuple(holder[j] for j in live)
+            systems = []
+            if sigma not in bundle_forms:
+                bundles = bundle_forms[sigma] = [(Fraction(0),) * n for _ in range(n)]
+                for j, h in zip(live, sigma):
+                    bundles[h] = tuple(x + y for x, y in zip(bundles[h], forms[h, j]))
+                systems.append([_sub(bundles[0], bundles[i]) for i in range(1, n)])
+            bundles = bundle_forms[sigma]
+            for k in lines if n == 3 else ():
+                if (sigma, k) not in crossed:
+                    crossed.add((sigma, k))
+                    systems += [
+                        [planes[k], _sub(bundles[a], bundles[b])]
+                        for a, b in itertools.combinations(range(n), 2)
+                    ]
+            for system in systems:
+                t = _solve(system)
+                if t is not None and t not in points and _inside(t) and _holds(p, eta, t, sigma):
+                    points.add(t)
+    return [_weight(t) for t in sorted(points)]
 
-    def summary_at(w: Weight) -> MembershipSummary:
-        if w not in summaries:
-            summaries[w] = membership_summary(p, w, eta, face_guard)
-        return summaries[w]
 
-    def label(w: Weight) -> int:
-        if w not in labels_cache:
-            sup = support(w)
-            cands = sorted(summary_at(w).winners & sup)
-            if not cands:
-                raise SoundnessError(f"covering failed at weight {tuple(map(str, w))}")
-            labels_cache[w] = cands[0]
-        return labels_cache[w]
+def find_wstar(p: PerturbedInstance, eta: Fraction, *, face_guard: int = DEFAULT_FACE_GUARD) -> StarPoint:
+    """Locate and certify the lexicographically first common point of all membership regions.
 
-    def centroid(simplex: tuple[Weight, ...]) -> Weight:
-        return tuple(sum(v[k] for v in simplex) / n for k in range(n))
-
-    def diameter(simplex: tuple[Weight, ...]) -> Fraction:
-        return max(
-            sum(abs(a[k] - b[k]) for k in range(n))
-            for a, b in itertools.combinations(simplex, 2)
-        )
-
-    best: tuple[Fraction, tuple[Weight, ...]] | None = None
-    stack: list[tuple[int, tuple[Weight, ...]]] = [(0, root)]
-    processed = 0
-    while stack:
-        depth, simplex = stack.pop()
-        processed += 1
-        if processed > simplex_budget:
-            break
-        for w in list(simplex) + [centroid(simplex)]:
-            if summary_at(w).winners == needed:
-                return build_star_point(p, summary_at(w), eta)
-        if len({label(v) for v in simplex}) != n:
-            continue
-        d = diameter(simplex)
-        if best is None or d < best[0]:
-            best = (d, simplex)
-        if depth >= max_depth:
-            continue
-        children = []
-        for perm in itertools.permutations(range(n)):
-            chain = []
-            acc = [Fraction(0)] * n
-            for idx, vi in enumerate(perm, start=1):
-                acc = [a + c for a, c in zip(acc, simplex[vi])]
-                chain.append(tuple(a / idx for a in acc))
-            children.append(tuple(chain))
-        for child in reversed(children):
-            stack.append((depth + 1, child))
-    raise SearchUnresolvedError(
-        "subdivision reached its depth limit without certifying a common point",
-        best_simplex=None if best is None else best[1],
-        diameter=None if best is None else best[0],
+    The candidate set is complete for n <= 3 (see the module docstring),
+    so running out of candidates is a soundness violation worth
+    reporting with the instance attached.
+    """
+    if p.n > 3:
+        raise InputError(f"the fixed-point search supports at most 3 agents, not {p.n}")
+    candidates = _candidates(p, eta, face_guard)
+    for w in candidates:
+        summary = membership_summary(p, w, eta, face_guard)
+        if len(summary.winners) == p.n:
+            return build_star_point(p, summary, eta)
+    raise SoundnessError(
+        f"exact search exhausted {len(candidates)} candidates without a common point "
+        f"(n={p.n}, m={p.m}, seed={p.seed}); this indicates degeneracy or a bug"
     )

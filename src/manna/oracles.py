@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
 from .certificate import Certificate, instance_digest
-from .errors import SizeGuardError, VerificationError
+from .errors import MannaError, SizeGuardError, VerificationError
 from .leveling import p_plus
 from .model import (
     Allocation,
@@ -277,7 +277,7 @@ def verify_certificate(
 
     try:
         validate_allocation(inst, cert.allocation_original, complete=True)
-    except Exception:
+    except MannaError:
         check("allocation-original-shape", False)
         return report.finish()
     check("allocation-original-shape", True)
@@ -369,7 +369,7 @@ def verify_certificate(
         w_star = tuple(cert.w_star)
         prices = dual_prices(p, w_star, cert.eta)
         tg = build_tie_graph(p, w_star, cert.eta, prices)
-    except Exception:
+    except MannaError:
         check("pricing-rebuild", False)
         return report.finish()
     check("pricing-rebuild", True)
@@ -384,24 +384,26 @@ def verify_certificate(
     alloc_bar = cert.allocation_perturbed
     try:
         validate_allocation(p.as_instance(), alloc_bar, complete=True)
-        member = lp_objective(p, w_star, cert.eta, alloc_bar) == sum(prices)
-    except Exception:
-        member = False
+        alloc_ok = True
+    except MannaError:
+        alloc_ok = False
+    member = alloc_ok and lp_objective(p, w_star, cert.eta, alloc_bar) == sum(prices)
     report.opt_membership = member
     if not member:
         report.fail("opt-membership")
 
     live = frozenset(p.live_items)
-    chain_ok = True
-    try:
-        for i in range(inst.n):
-            bundle = alloc_bar[i] & live
-            if price_of(prices, bundle) > cert.tau:
-                chain_ok = False
-            if p_plus(tg, prices, i, bundle) < cert.tau:
-                chain_ok = False
-    except Exception:
-        chain_ok = False
+    chain_ok = alloc_ok  # the chain indexes one bundle per agent
+    if alloc_ok:
+        try:
+            for i in range(inst.n):
+                bundle = alloc_bar[i] & live
+                if price_of(prices, bundle) > cert.tau:
+                    chain_ok = False
+                if p_plus(tg, prices, i, bundle) < cert.tau:
+                    chain_ok = False
+        except MannaError:
+            chain_ok = False
     pbar_inst = p.as_instance()
     witnesses_bar = ief1_witnesses(pbar_inst, alloc_bar)
     value_bar = all(w is not None for w in witnesses_bar)

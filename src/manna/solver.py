@@ -38,7 +38,6 @@ PROFILES = ("goods", "chores", "mixed", "zero-mixed")
 class SolveOptions:
     seed: int = 0
     mode: str = "enumerate"
-    strategy: str = "auto"
     guard: int = DEFAULT_ENUM_GUARD
     grid_base: int = DEFAULT_GRID_BASE
     max_retries: int = DEFAULT_RETRIES
@@ -47,8 +46,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.mode not in ("enumerate", "augment"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.strategy not in ("auto", "exact", "subdivision"):
-            raise InputError(f"unknown strategy {self.strategy!r}")
 
 
 def generate_instance(
@@ -145,7 +142,7 @@ def _draw_and_search(
                 grid_base=opts.grid_base,
                 attempt_offset=attempt,
             )
-            return p, find_wstar(p, p.constants.eta, opts.strategy)
+            return p, find_wstar(p, p.constants.eta)
         except DegeneracyError as exc:
             last = exc
     raise DegeneracyError(
@@ -189,14 +186,11 @@ def _finish(
     alloc_orig = restrict(alloc_bar, p.aux_item)
     swaps_orig = tuple(s - {p.aux_item} for s in swaps_bar)
 
-    resolved = opts.strategy
-    if resolved == "auto":
-        resolved = "exact" if p.n <= 3 else "subdivision"
     cert = Certificate(
         instance_digest=digest,
         seed=opts.seed,
         mode=opts.mode,
-        strategy=resolved,
+        strategy="exact",
         trivial=False,
         lam=p.constants.lam,
         omega=p.constants.omega,
@@ -223,14 +217,13 @@ def explain(
     w: Sequence[Fraction] | None = None,
     *,
     guard: int = DEFAULT_ENUM_GUARD,
-    strategy: str = "auto",
     with_trace: bool = False,
 ) -> str:
     """Human-readable dump of the pricing structure at a weight (found or given).
 
     Without ``w`` the weight is the w* that :func:`solve` certifies for
-    the same seed and strategy, found through the same perturbation
-    draws. A supplied ``w`` is read on the seed's first clean draw.
+    the same seed, found through the same perturbation draws. A
+    supplied ``w`` is read on the seed's first clean draw.
     """
     normalized = normalize_mixed(inst)
     constants = compute_constants(normalized, guard)
@@ -240,7 +233,7 @@ def explain(
     star: StarPoint | None = None
     if w is None:
         p, star = _draw_and_search(
-            normalized, constants, SolveOptions(seed=seed, strategy=strategy, guard=guard)
+            normalized, constants, SolveOptions(seed=seed, guard=guard)
         )
         weight = star.w_star
         lines.append("weight: certified common point")

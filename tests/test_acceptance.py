@@ -9,6 +9,7 @@ checked here flows through the artifact's public contract.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -495,3 +496,28 @@ def test_criterion_8_determinism_across_processes(tmp_path):
         + (" PASS" if not mismatched else " FAIL")
     )
     assert not mismatched, mismatched
+
+
+CORPUS_CERTIFICATES_SHA256 = "733712b3487583dfa58559f2cc08140ac3926e8657a30d4df2015d457fc31c71"
+
+
+def test_criterion_9_pinned_certificate_bytes(corpus):
+    """The corpus certificates are the same bytes as when the pin was taken.
+
+    One sha256 over ``Certificate.to_json()`` of every parsed certificate,
+    in corpus order with the enumerate mode before the augment mode; the
+    files as written give the same digest. A change that moves w* or any
+    other certificate field on purpose updates the pin and says so in
+    CHANGES.md.
+    """
+    runs, _ = corpus
+    digest = hashlib.sha256()
+    for run in runs:
+        for mode in ("enumerate", "augment"):
+            digest.update(run.certs[mode].to_json().encode())
+    got = digest.hexdigest()
+    record_acceptance(
+        f"criterion 9 pinned certificate bytes: sha256 {got[:12]}"
+        + (" PASS" if got == CORPUS_CERTIFICATES_SHA256 else " FAIL")
+    )
+    assert got == CORPUS_CERTIFICATES_SHA256

@@ -139,8 +139,19 @@ class TestExitCodes:
             ("w_star", 5),
             ("allocation_original", 5),
             ("seed", "x"),
+            ("lambda", "x"),
+            ("w_star", ["x", "1"]),
+            ("eta", "1/0"),
         ],
-        ids=["empty-perturbed-values", "scalar-w-star", "scalar-allocation", "string-seed"],
+        ids=[
+            "empty-perturbed-values",
+            "scalar-w-star",
+            "scalar-allocation",
+            "string-seed",
+            "unparsable-lambda",
+            "unparsable-w-star-entry",
+            "zero-denominator-eta",
+        ],
     )
     def test_mistyped_certificate_field(self, e1_file, tmp_path, capsys, field, value):
         cert_path = tmp_path / "cert.json"
@@ -161,10 +172,21 @@ class TestExitCodes:
         )
         assert run("solve", str(wide)) == 3
 
-    def test_subdivision_unresolved(self, e1_file, capsys):
-        code = run("solve", e1_file, "--seed", "7", "--strategy", "subdivision")
-        assert code == 4
-        assert "unresolved" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["solve", "explain"])
+    def test_four_agents_are_an_input_error(self, tmp_path, capsys, command):
+        inst = tmp_path / "four.json"
+        inst.write_text(json.dumps({"agents": 4, "items": 2, "values": [[1, 2], [3, 1], [2, 2], [1, 4]]}))
+        assert run(command, str(inst)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "at most 3 agents" in err
+
+    def test_four_agents_all_zero_still_solve(self, tmp_path, capsys):
+        inst = tmp_path / "zero.json"
+        inst.write_text(json.dumps({"agents": 4, "items": 2, "values": [[0, 0]] * 4}))
+        assert run("solve", str(inst)) == 0
+        cert = Certificate.from_json(capsys.readouterr().out)
+        assert cert.trivial and cert.strategy == "trivial"
 
 
 class TestExplain:

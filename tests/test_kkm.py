@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from manna.errors import InputError, SearchUnresolvedError
+from manna.errors import InputError
 from manna.kkm import (
     build_star_point,
     cell_membership,
@@ -13,9 +15,10 @@ from manna.kkm import (
     find_wstar,
     membership_summary,
 )
-from manna.preprocess import ItemClass, compute_constants, perturb
+from manna.preprocess import ItemClass, compute_constants, normalize_mixed, perturb
 from manna.pricing import dual_prices, enumerate_opt, price_of, support, build_tie_graph
 
+from test_preprocess import instances
 from test_pricing import HALF, ETA, random_perturbed, random_weight
 
 
@@ -98,7 +101,8 @@ class TestBoundaryBehavior:
 class TestFindWstar:
     def test_symmetric_instance_half_half(self, disjoint_support):
         eta = F(1, 12)
-        star = find_wstar(disjoint_support, eta, "exact")
+        star = find_wstar(disjoint_support, eta)
+        assert star.w_star == HALF
         summary = membership_summary(disjoint_support, star.w_star, eta)
         assert summary.winners == frozenset({0, 1})
         # the symmetric midpoint is itself certified
@@ -108,7 +112,7 @@ class TestFindWstar:
         consts = compute_constants(e1)
         p = perturb(e1, 7, consts)
         eta = p.constants.eta
-        star = find_wstar(p, eta, "exact")
+        star = find_wstar(p, eta)
         for i in range(2):
             assert cell_membership(p, star.w_star, eta, i) is not None
         for witness in star.witnesses:
@@ -120,34 +124,37 @@ class TestFindWstar:
         consts = compute_constants(e1)
         p = perturb(e1, 3, consts)
         eta = p.constants.eta
-        a = find_wstar(p, eta, "exact")
-        b = find_wstar(p, eta, "exact")
+        a = find_wstar(p, eta)
+        b = find_wstar(p, eta)
         assert a.w_star == b.w_star
 
     def test_three_agents_exact(self):
         p = random_perturbed(777, 3, 4)
-        star = find_wstar(p, p.constants.eta, "exact")
+        star = find_wstar(p, p.constants.eta)
         assert membership_summary(p, star.w_star, p.constants.eta).winners == frozenset(
             range(3)
         )
 
     def test_exact_rejects_large_n(self):
         p = random_perturbed(800, 4, 2)
-        with pytest.raises(InputError):
-            find_wstar(p, p.constants.eta, "exact")
-
-    def test_subdivision_resolves_symmetric(self, disjoint_support):
-        star = find_wstar(disjoint_support, F(1, 12), "subdivision")
-        assert star.w_star == HALF
-
-    def test_subdivision_reports_unresolved(self, e1):
-        consts = compute_constants(e1)
-        p = perturb(e1, 7, consts)
-        with pytest.raises(SearchUnresolvedError) as err:
-            find_wstar(p, p.constants.eta, "subdivision", max_depth=10)
-        assert err.value.diameter is not None
+        with pytest.raises(InputError, match="at most 3 agents"):
+            find_wstar(p, p.constants.eta)
 
     def test_chain_fixture_is_star_point(self, chain_fixture):
         p, w, eta = chain_fixture
         star = build_star_point(p, membership_summary(p, w, eta), eta)
         assert {cw.agent for cw in star.witnesses} == {0, 1, 2}
+
+
+class TestSearchProperty:
+    @given(inst=instances(max_n=3, max_m=5), seed=st.integers(0, 99))
+    @settings(max_examples=80)
+    def test_every_agent_wins_at_the_same_wstar(self, inst, seed):
+        normalized = normalize_mixed(inst)
+        consts = compute_constants(normalized)
+        assume(consts.lam is not None)
+        p = perturb(normalized, seed, consts)
+        eta = p.constants.eta
+        star = find_wstar(p, eta)
+        assert membership_summary(p, star.w_star, eta).winners == frozenset(range(p.n))
+        assert find_wstar(p, eta).w_star == star.w_star

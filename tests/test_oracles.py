@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import manna.oracles as oracles
 from manna.errors import InputError, SizeGuardError
 from manna.model import Instance, is_ief1
 from manna.oracles import (
@@ -143,3 +144,19 @@ class TestVerifyCertificate:
         report = verify_certificate(e1, cert, guard=2)
         assert report.po_on_original == {"verdict": "unverified", "method": "guard-exceeded"}
         assert report.overall  # unverified is flagged, not failed
+
+    def test_wrong_length_weight_fails_pricing_rebuild(self, e1):
+        cert, _ = solve(e1, SolveOptions(seed=7))
+        report = verify_certificate(e1, replace(cert, w_star=cert.w_star + (F(0),)))
+        assert report.consistency["pricing-rebuild"] is False
+        assert "pricing-rebuild" in report.failures
+
+    def test_programming_errors_propagate(self, e1, monkeypatch):
+        cert, _ = solve(e1, SolveOptions(seed=7))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the tie graph")
+
+        monkeypatch.setattr(oracles, "build_tie_graph", broken)
+        with pytest.raises(RuntimeError, match="bug in the tie graph"):
+            verify_certificate(e1, cert)

@@ -133,11 +133,11 @@ positives = st.builds(F, st.integers(1, 6), st.sampled_from(DENOMINATORS))
 
 
 @st.composite
-def instances(draw) -> Instance:
+def instances(draw, max_n: int = 4, max_m: int = 8) -> Instance:
     """Small instances mixing the column kinds the constants must handle."""
     # n^m <= 4^8 keeps the reference enumeration under 10^5 allocations
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(2, max_m))
     shape = draw(st.sampled_from(("columns", "identical", "proportional")))
     if shape == "identical":
         row = draw(st.lists(rationals, min_size=m, max_size=m))

@@ -14,11 +14,11 @@ class TestRetryLoop:
         real = solver.find_wstar
         first_draw_seen: list[bool] = []
 
-        def degenerate_on_first_draw(p, eta, strategy="auto", **kwargs):
+        def degenerate_on_first_draw(p, eta, **kwargs):
             first_draw_seen.append(p.pvalues == first.pvalues)
             if p.pvalues == first.pvalues:
                 raise DegeneracyError("forced equality-graph cycle", cycle=(("agent", 0), ("item", 0)))
-            return real(p, eta, strategy, **kwargs)
+            return real(p, eta, **kwargs)
 
         monkeypatch.setattr(solver, "find_wstar", degenerate_on_first_draw)
         cert, report = solve(e1, SolveOptions(seed=5))
@@ -30,7 +30,7 @@ class TestRetryLoop:
         assert first_draw_seen == [True, False, True, False]
 
     def test_retries_exhausted_carry_the_last_cycle(self, e1, monkeypatch):
-        def always_degenerate(p, eta, strategy="auto", **kwargs):
+        def always_degenerate(p, eta, **kwargs):
             raise DegeneracyError("forced equality-graph cycle", cycle=(("agent", 1),))
 
         monkeypatch.setattr(solver, "find_wstar", always_degenerate)
