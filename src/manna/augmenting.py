@@ -43,7 +43,6 @@ class AugmentState:
     """Mutable run state: working bundles, finalized bundles, queue, trace."""
 
     tg: TieGraph
-    prices: tuple[Fraction, ...]
     tau: Fraction
     current: list[set[int]]
     finalized: dict[int, Bundle] = field(default_factory=dict)
@@ -52,10 +51,8 @@ class AugmentState:
     trace: list[dict] = field(default_factory=list)
 
     @classmethod
-    def from_allocation(
-        cls, tg: TieGraph, prices: Sequence[Fraction], tau: Fraction, alloc: Allocation
-    ) -> AugmentState:
-        return cls(tg=tg, prices=tuple(prices), tau=tau, current=[set(b) for b in alloc])
+    def from_allocation(cls, tg: TieGraph, tau: Fraction, alloc: Allocation) -> AugmentState:
+        return cls(tg=tg, tau=tau, current=[set(b) for b in alloc])
 
     def log(self, event: str, **detail) -> None:
         self.trace.append({"event": event, **detail})
@@ -70,8 +67,7 @@ class AugmentState:
             if seen & b:
                 raise SoundnessError(f"items {sorted(seen & b)} duplicated across working bundles")
             seen |= b
-        expected = set(self.tg.live_items())
-        if seen != expected:
+        if seen != self.tg.holders.keys():
             raise SoundnessError("working and finalized bundles no longer partition the items")
 
 
@@ -79,7 +75,7 @@ def root_at(tg: TieGraph, r: int) -> RootedForest:
     """Orient the tie-forest component containing agent ``r`` toward ``r``."""
     if not 0 <= r < tg.n:
         raise InputError(f"agent id {r} out of range")
-    item_nbrs = {j: set(hs) for j, hs in tg.item_neighbors.items() if j in tg.tie_items}
+    item_nbrs = {j: set(tg.holders[j]) for j in tg.ties}
     agent_nbrs: dict[int, set[int]] = {i: set() for i in range(tg.n)}
     for j, hs in item_nbrs.items():
         for i in hs:
@@ -126,9 +122,9 @@ def construct_X(
     price still below the threshold but within one flip of it, uses
     only price-raising items, and avoids the parent edge.
     """
-    tg, prices = state.tg, state.prices
+    tg, prices = state.tg, state.tg.prices
     s_i = frozenset(state.current[agent])
-    if p_plus(tg, prices, agent, s_i) >= tau:
+    if p_plus(tg, agent, s_i) >= tau:
         raise SoundnessError(f"agent {agent} is not deficient; transfer-set construction refused")
     witness_bundle = witness.allocation[agent]
     if price_of(prices, witness_bundle) < tau:
@@ -169,7 +165,7 @@ def construct_X(
     x = frozenset(t for t in k_tilde if t != dropped)
 
     flipped = s_i ^ x
-    if not (price_of(prices, flipped) < tau <= p_plus(tg, prices, agent, flipped)):
+    if not (price_of(prices, flipped) < tau <= p_plus(tg, agent, flipped)):
         raise SoundnessError(f"transfer set for agent {agent} violates its price contract")
     if pi is not None and pi in x:
         raise SoundnessError(f"transfer set for agent {agent} contains its parent item")
@@ -191,15 +187,13 @@ def augment(
     the maximum bundle price stays at the threshold; the count of
     satisfied agents strictly increases.
     """
-    tg, prices, tau = state.tg, state.prices, state.tau
+    tg, prices, tau = state.tg, state.tg.prices, state.tau
     n = tg.n
-    before = frozenset(
-        i for i in range(n) if p_plus(tg, prices, i, state.effective(i)) >= tau
-    )
+    before = frozenset(i for i in range(n) if p_plus(tg, i, state.effective(i)) >= tau)
     if max(price_of(prices, state.effective(i)) for i in range(n)) != tau:
         raise InputError("augmenting requires a start allocation with maximum price at the threshold")
     r = rf.root
-    if p_plus(tg, prices, r, state.effective(r)) >= tau:
+    if p_plus(tg, r, state.effective(r)) >= tau:
         raise InputError(f"root agent {r} is not deficient")
     initial = {i: state.effective(i) for i in range(n)}
 
@@ -210,13 +204,13 @@ def augment(
         i = state.queue.pop(0)
         state.log("pop", agent=i)
         s_i = frozenset(state.current[i])
-        if p_plus(tg, prices, i, s_i) >= tau:
+        if p_plus(tg, i, s_i) >= tau:
             raise SoundnessError(f"queued agent {i} is no longer deficient (loop invariant broke)")
         x = construct_X(state, i, witnesses[i], tau, rf)
         state.log("transfer-set", agent=i, items=sorted(x))
         for t in sorted(x):
             if t in s_i:
-                choices = [a for a in tg.item_neighbors[t] if a != i]
+                choices = [a for a in tg.holders[t] if a != i]
                 a_it = min(choices)
             else:
                 a_it = next(a for a in range(n) if t in state.current[a])
@@ -225,7 +219,7 @@ def augment(
             if t not in state.current[a_it] and t not in s_i:
                 raise SoundnessError(f"item {t} is held by neither side of its transfer")
             flipped = frozenset(state.current[a_it]) ^ {t}
-            if p_plus(tg, prices, a_it, flipped) < tau:
+            if p_plus(tg, a_it, flipped) < tau:
                 state.current[a_it] ^= {t}
                 if a_it in state.ever_queued:
                     raise SoundnessError(f"agent {a_it} would enter the queue twice")
@@ -246,14 +240,14 @@ def augment(
     for i in range(n):
         if result[i] != initial[i]:
             price = price_of(prices, result[i])
-            if not (price < tau <= p_plus(tg, prices, i, result[i])):
+            if not (price < tau <= p_plus(tg, i, result[i])):
                 raise SoundnessError(f"updated bundle of agent {i} violates the price guarantees")
         low, high = tg.forced[i], tg.forced[i] | tg.gamma[i]
         if not (low <= result[i] <= high):
             raise SoundnessError(f"bundle of agent {i} left the optimal face")
     if max_price(prices, result) != tau:
         raise SoundnessError("maximum bundle price moved away from the threshold")
-    after = frozenset(i for i in range(n) if p_plus(tg, prices, i, result[i]) >= tau)
+    after = frozenset(i for i in range(n) if p_plus(tg, i, result[i]) >= tau)
     if not (before < after):
         raise SoundnessError("satisfied-agent count did not strictly increase")
     state.log("done", satisfied=sorted(after))
@@ -262,7 +256,6 @@ def augment(
 
 def solve_by_augmenting(
     tg: TieGraph,
-    prices: Sequence[Fraction],
     tau: Fraction,
     witnesses: Sequence[CellWitness],
     trace: list[dict] | None = None,
@@ -278,19 +271,17 @@ def solve_by_augmenting(
     is reached constructively.
     """
     members = enumerate_opt(tg) if face is None else face
-    start = next((alloc for alloc in members if max_price(prices, alloc) == tau), None)
+    start = next((alloc for alloc in members if max_price(tg.prices, alloc) == tau), None)
     if start is None:
         raise SoundnessError("no optimal-face member attains the threshold")
 
     current = start
     for _ in range(tg.n + 1):
-        deficient = [
-            i for i in range(tg.n) if p_plus(tg, prices, i, current[i]) < tau
-        ]
+        deficient = [i for i in range(tg.n) if p_plus(tg, i, current[i]) < tau]
         if not deficient:
             return current
         r = deficient[0]
-        state = AugmentState.from_allocation(tg, prices, tau, current)
+        state = AugmentState.from_allocation(tg, tau, current)
         rf = root_at(tg, r)
         current = augment(state, witnesses, rf)
         if trace is not None:

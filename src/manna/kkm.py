@@ -37,10 +37,12 @@ where x is still optimal. Membership is tested in lexicographic order,
 so midpoints and cell representatives, which are never the first
 certified point, are not generated.
 
-Every structure at a weight comes from one builder,
-:func:`manna.pricing.price_forest`. The certified point is assembled
-from the winning candidate's summary, so the optimal face at w* is not
-enumerated again here.
+Every structure at a weight is one :class:`manna.pricing.TieGraph`,
+built once per weight: a vertex's graph serves both candidate
+generation and the vertex's membership test, and the certified point is
+assembled from the winning candidate's summary, which carries its
+graph, so neither the graph nor the optimal face at w* is built again
+here.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .pricing import (
     TieGraph,
     build_tie_graph,
     check_price_signs,
-    price_forest,
     price_of,
     support,
     validate_weight,
@@ -84,36 +85,40 @@ class StarPoint:
 
     w_star: Weight
     witnesses: tuple[CellWitness, ...]
-    prices: tuple[Fraction, ...]
     tie_graph: TieGraph
 
 
 @dataclass(frozen=True)
 class MembershipSummary:
     w: Weight
-    prices: tuple[Fraction, ...]
+    tie_graph: TieGraph
     winners: frozenset[int]
     witnesses: Mapping[int, Allocation]
-    tie_items: tuple[int, ...]
     face_size: int
 
 
 def membership_summary(
-    p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction, face_guard: int = DEFAULT_FACE_GUARD
+    p: PerturbedInstance,
+    w: Sequence[Fraction],
+    eta: Fraction,
+    face_guard: int = DEFAULT_FACE_GUARD,
+    *,
+    tie_graph: TieGraph | None = None,
 ) -> MembershipSummary:
     """Enumerate the optimal face at ``w`` and record which agents can top it.
 
     Each winner's witness is the first face member, in tie-assignment
-    order, in which its bundle price is maximal.
+    order, in which its bundle price is maximal. ``tie_graph``, when
+    given, is the graph already built at ``w``.
     """
     wt = validate_weight(w, p.n)
-    forest = price_forest(p, wt, eta)
-    prices, ties = forest.prices, forest.ties
-    base = [price_of(prices, bundle) for bundle in forest.forced]
+    tg = build_tie_graph(p, wt, eta) if tie_graph is None else tie_graph
+    prices, ties = tg.prices, tg.ties
+    base = [price_of(prices, bundle) for bundle in tg.forced]
     face_size = 0
     winners: set[int] = set()
     witnesses: dict[int, Allocation] = {}
-    for choice in forest.face(face_guard):
+    for choice in tg.face(face_guard):
         face_size += 1
         bundle_price = list(base)
         for j, holder in zip(ties, choice):
@@ -122,15 +127,14 @@ def membership_summary(
         fresh = [i for i in range(p.n) if bundle_price[i] == top and i not in winners]
         if fresh:
             winners.update(fresh)
-            alloc = forest.allocation(choice)
+            alloc = tg.allocation(choice)
             for i in fresh:
                 witnesses[i] = alloc
     return MembershipSummary(
         w=wt,
-        prices=prices,
+        tie_graph=tg,
         winners=frozenset(winners),
         witnesses=witnesses,
-        tie_items=ties,
         face_size=face_size,
     )
 
@@ -147,7 +151,7 @@ def cell_membership(
         agent=agent,
         w=summary.w,
         allocation=alloc,
-        max_price=price_of(summary.prices, alloc[agent]),
+        max_price=price_of(summary.tie_graph.prices, alloc[agent]),
     )
 
 
@@ -162,12 +166,12 @@ def covering_label(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -
     return candidates[0]
 
 
-def build_star_point(p: PerturbedInstance, summary: MembershipSummary, eta: Fraction) -> StarPoint:
+def build_star_point(p: PerturbedInstance, summary: MembershipSummary) -> StarPoint:
     """Assemble the certified object from a summary in which every agent won."""
     missing = sorted(set(range(p.n)) - summary.winners)
     if missing:
         raise SoundnessError(f"agents {missing} have no membership witness at the star point")
-    prices = summary.prices
+    prices = summary.tie_graph.prices
     check_price_signs(p, prices)
     witnesses = tuple(
         CellWitness(
@@ -178,8 +182,7 @@ def build_star_point(p: PerturbedInstance, summary: MembershipSummary, eta: Frac
         )
         for i in range(p.n)
     )
-    tg = build_tie_graph(p, summary.w, eta, prices)
-    return StarPoint(w_star=summary.w, witnesses=witnesses, prices=prices, tie_graph=tg)
+    return StarPoint(w_star=summary.w, witnesses=witnesses, tie_graph=summary.tie_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,13 @@ def _holds(p: PerturbedInstance, eta: Fraction, t: tuple[Fraction, ...], sigma: 
     )
 
 
-def _candidates(p: PerturbedInstance, eta: Fraction, face_guard: int) -> list[Weight]:
-    """Arrangement vertices, bundle-tie crossings and all-equal points, lexicographic."""
+def _candidates(
+    p: PerturbedInstance, eta: Fraction, face_guard: int
+) -> list[tuple[Weight, TieGraph | None]]:
+    """Arrangement vertices, bundle-tie crossings and all-equal points, lexicographic.
+
+    Each vertex comes with the tie graph built there; the other points with None.
+    """
     n, live = p.n, p.live_items
     forms = {(i, j): _price_form(p, eta, i, j) for i in range(n) for j in live}
     raw = [_weight_form(n, i) for i in range(n)] + [
@@ -256,13 +264,14 @@ def _candidates(p: PerturbedInstance, eta: Fraction, face_guard: int) -> list[We
             through.setdefault(t, set()).update(subset)
 
     points = set(through)
+    graphs: dict[tuple[Fraction, ...], TieGraph] = {}
     bundle_forms: dict[tuple[int, ...], list[Form]] = {}
     crossed: set[tuple[tuple[int, ...], int]] = set()
     for v, lines in through.items():
-        forest = price_forest(p, _weight(v), eta)
-        for choice in forest.face(face_guard):
-            holder = {j: hs[0] for j, hs in forest.holders.items()}
-            holder.update(zip(forest.ties, choice))
+        tg = graphs[v] = build_tie_graph(p, _weight(v), eta)
+        for choice in tg.face(face_guard):
+            holder = {j: hs[0] for j, hs in tg.holders.items()}
+            holder.update(zip(tg.ties, choice))
             sigma = tuple(holder[j] for j in live)
             systems = []
             if sigma not in bundle_forms:
@@ -282,7 +291,7 @@ def _candidates(p: PerturbedInstance, eta: Fraction, face_guard: int) -> list[We
                 t = _solve(system)
                 if t is not None and t not in points and _inside(t) and _holds(p, eta, t, sigma):
                     points.add(t)
-    return [_weight(t) for t in sorted(points)]
+    return [(_weight(t), graphs.get(t)) for t in sorted(points)]
 
 
 def find_wstar(p: PerturbedInstance, eta: Fraction, *, face_guard: int = DEFAULT_FACE_GUARD) -> StarPoint:
@@ -295,10 +304,10 @@ def find_wstar(p: PerturbedInstance, eta: Fraction, *, face_guard: int = DEFAULT
     if p.n > 3:
         raise InputError(f"the fixed-point search supports at most 3 agents, not {p.n}")
     candidates = _candidates(p, eta, face_guard)
-    for w in candidates:
-        summary = membership_summary(p, w, eta, face_guard)
+    for w, tg in candidates:
+        summary = membership_summary(p, w, eta, face_guard, tie_graph=tg)
         if len(summary.winners) == p.n:
-            return build_star_point(p, summary, eta)
+            return build_star_point(p, summary)
     raise SoundnessError(
         f"exact search exhausted {len(candidates)} candidates without a common point "
         f"(n={p.n}, m={p.m}, seed={p.seed}); this indicates degeneracy or a bug"

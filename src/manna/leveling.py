@@ -6,9 +6,10 @@ item adjacent to that agent; a leveled allocation attains max price tau
 and, subject to that, maximizes how many agents reach tau after the
 relaxation. At a genuine fixed-point weight every agent reaches tau.
 
-:func:`compute_tau` and :func:`find_leveled` take the optimal face as
-``face`` when the caller has already enumerated it, so one enumeration
-at a weight serves both.
+Everything here reads the prices from the :class:`TieGraph` it is
+given. :func:`compute_tau` and :func:`find_leveled` also take the
+optimal face, enumerated once by the caller, so one enumeration at a
+weight serves both; without it they enumerate the face themselves.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def _check_sandwich(tg: TieGraph, agent: int, bundle: Iterable[int]) -> Bundle:
     return b
 
 
-def p_plus(tg: TieGraph, prices: Sequence[Fraction], agent: int, bundle: Iterable[int]) -> Fraction:
+def p_plus(tg: TieGraph, agent: int, bundle: Iterable[int]) -> Fraction:
     """Best bundle price reachable by flipping at most one adjacent tie item."""
     b = _check_sandwich(tg, agent, bundle)
+    prices = tg.prices
     base = price_of(prices, b)
     best = base
     for t in tg.gamma[agent]:
@@ -56,16 +58,13 @@ def max_price(prices: Sequence[Fraction], alloc: Allocation) -> Fraction:
     return max(price_of(prices, bundle) for bundle in alloc)
 
 
-def compute_tau(
-    tg: TieGraph, prices: Sequence[Fraction], face: Sequence[Allocation] | None = None
-) -> Fraction:
+def compute_tau(tg: TieGraph, face: Sequence[Allocation] | None = None) -> Fraction:
     """Exact min over the optimal face of the maximum bundle price."""
-    return min(max_price(prices, alloc) for alloc in (enumerate_opt(tg) if face is None else face))
+    return min(max_price(tg.prices, alloc) for alloc in (enumerate_opt(tg) if face is None else face))
 
 
 def find_leveled(
     tg: TieGraph,
-    prices: Sequence[Fraction],
     tau: Fraction,
     *,
     face: Sequence[Allocation] | None = None,
@@ -79,11 +78,9 @@ def find_leveled(
     """
     best: LevelState | None = None
     for alloc in enumerate_opt(tg) if face is None else face:
-        if max_price(prices, alloc) != tau:
+        if max_price(tg.prices, alloc) != tau:
             continue
-        satisfied = frozenset(
-            i for i in range(tg.n) if p_plus(tg, prices, i, alloc[i]) >= tau
-        )
+        satisfied = frozenset(i for i in range(tg.n) if p_plus(tg, i, alloc[i]) >= tau)
         if best is None or len(satisfied) > len(best.satisfied):
             best = LevelState(tau=tau, allocation=alloc, satisfied=satisfied)
     if best is None:

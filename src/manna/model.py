@@ -95,10 +95,6 @@ class SwapWitness:
             raise InputError("swap witness may contain at most one item")
 
 
-def make_allocation(bundles: Sequence[Iterable[int]]) -> Allocation:
-    return tuple(frozenset(b) for b in bundles)
-
-
 def validate_allocation(inst: Instance, alloc: Allocation, *, complete: bool = True) -> None:
     """Check disjointness, item range, and (optionally) completeness."""
     if len(alloc) != inst.n:

@@ -23,7 +23,7 @@ from typing import Any, Iterator, Sequence
 
 from .certificate import Certificate, instance_digest
 from .errors import MannaError, SizeGuardError, VerificationError
-from .leveling import p_plus
+from .leveling import compute_tau, p_plus
 from .model import (
     Allocation,
     Instance,
@@ -49,7 +49,15 @@ from .preprocess import (
     restrict,
     value_cap,
 )
-from .pricing import build_tie_graph, dual_prices, enumerate_opt, lp_objective, price_of, support
+from .pricing import (
+    TieGraph,
+    build_tie_graph,
+    check_price_signs,
+    enumerate_opt,
+    on_optimal_face,
+    price_of,
+    support,
+)
 
 
 def enumerate_allocations(n: int, m: int, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Allocation]:
@@ -245,7 +253,7 @@ def _check_swaps(
     if len(swaps) != inst.n:
         return False
     for i, swap in enumerate(swaps):
-        if len(swap) > 1:
+        if len(swap) > 1 or any(not 0 <= t < inst.m for t in swap):
             return False
         adjusted = bundle_value(inst, i, alloc[i] ^ swap)
         target = max(bundle_value(inst, i, alloc[j]) for j in range(inst.n))
@@ -367,16 +375,16 @@ def verify_certificate(
 
     try:
         w_star = tuple(cert.w_star)
-        prices = dual_prices(p, w_star, cert.eta)
-        tg = build_tie_graph(p, w_star, cert.eta, prices)
+        tg = build_tie_graph(p, w_star, cert.eta)
+        check_price_signs(p, tg.prices)
     except MannaError:
         check("pricing-rebuild", False)
         return report.finish()
     check("pricing-rebuild", True)
+    prices = tg.prices
 
-    from .leveling import compute_tau
-
-    tau_ok = prices == cert.prices and compute_tau(tg, prices) == cert.tau
+    face = enumerate_opt(tg)
+    tau_ok = prices == cert.prices and compute_tau(tg, face) == cert.tau
     report.tau_check = tau_ok
     if not tau_ok:
         report.fail("tau")
@@ -387,7 +395,7 @@ def verify_certificate(
         alloc_ok = True
     except MannaError:
         alloc_ok = False
-    member = alloc_ok and lp_objective(p, w_star, cert.eta, alloc_bar) == sum(prices)
+    member = alloc_ok and on_optimal_face(p, w_star, cert.eta, prices, alloc_bar)
     report.opt_membership = member
     if not member:
         report.fail("opt-membership")
@@ -400,14 +408,15 @@ def verify_certificate(
                 bundle = alloc_bar[i] & live
                 if price_of(prices, bundle) > cert.tau:
                     chain_ok = False
-                if p_plus(tg, prices, i, bundle) < cert.tau:
+                if p_plus(tg, i, bundle) < cert.tau:
                     chain_ok = False
         except MannaError:
             chain_ok = False
+    # the value-level checks read one bundle per agent from a valid allocation
     pbar_inst = p.as_instance()
-    witnesses_bar = ief1_witnesses(pbar_inst, alloc_bar)
-    value_bar = all(w is not None for w in witnesses_bar)
-    swaps_bar_ok = _check_swaps(pbar_inst, alloc_bar, cert.swaps_perturbed)
+    witnesses_bar = ief1_witnesses(pbar_inst, alloc_bar) if alloc_ok else ()
+    value_bar = alloc_ok and all(w is not None for w in witnesses_bar)
+    swaps_bar_ok = alloc_ok and _check_swaps(pbar_inst, alloc_bar, cert.swaps_perturbed)
     report.ief1_on_perturbed = {
         "verdict": chain_ok and value_bar and swaps_bar_ok,
         "price_chain": chain_ok,
@@ -427,7 +436,7 @@ def verify_certificate(
     _value_level_checks(report, inst, cert, guard)
 
     if support(w_star) != frozenset(range(inst.n)):
-        report.boundary_checks = _boundary_checks(p, tg, prices, w_star)
+        report.boundary_checks = _boundary_checks(p, tg, w_star, face)
         for entry in report.boundary_checks:
             if not entry["ok"]:
                 report.fail(f"boundary:{entry['name']}")
@@ -461,9 +470,9 @@ def _value_level_checks(
 
 def _boundary_checks(
     p: PerturbedInstance,
-    tg,
-    prices: Sequence[Fraction],
+    tg: TieGraph,
     w_star: Sequence[Fraction],
+    face: Sequence[Allocation],
 ) -> list[dict[str, Any]]:
     sup = support(w_star)
     classes = p.classes()
@@ -474,7 +483,7 @@ def _boundary_checks(
     goods_ok = True
     aux_ok = True
     price_ok = True
-    for alloc in enumerate_opt(tg):
+    for alloc in face:
         holders = {j: i for i in range(p.n) for j in alloc[i]}
         for j in goods:
             if holders[j] not in sup:
@@ -482,7 +491,7 @@ def _boundary_checks(
         ell = holders[p.aux_item]
         if ell not in argmax_w or (alloc[ell] & chores):
             aux_ok = False
-        bundle_prices = [price_of(prices, b) for b in alloc]
+        bundle_prices = [price_of(tg.prices, b) for b in alloc]
         outside = [bundle_prices[i] for i in range(p.n) if i not in sup]
         inside = [bundle_prices[i] for i in range(p.n) if i in sup]
         if outside and not (max(outside) <= bundle_prices[ell] <= max(inside)):

@@ -7,6 +7,11 @@ The equality (tie) graph connects agent i to item j exactly when i
 attains p_j; on non-degenerate instances it is a forest, forced bundles
 are the degree-1 items, and the optimal face of the program is the set
 of allocations sandwiched between forced bundles and tie adjacency.
+
+:func:`build_tie_graph` is the one place that computes the prices and
+the forest at a weight. Its :class:`TieGraph` carries the prices with
+it, so everything downstream (the search, leveling, augmenting, the
+verifier) reads both from one value.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegeneracyError, InputError, SizeGuardError, SoundnessError
 from .model import Allocation, Bundle
@@ -37,67 +42,79 @@ def support(w: Sequence[Fraction]) -> frozenset[int]:
     return frozenset(i for i, x in enumerate(w) if x > 0)
 
 
-class PriceForest(NamedTuple):
+@dataclass(frozen=True)
+class TieGraph:
     """Prices at one weight and the forest of price-attaining (agent, item) pairs.
 
     ``prices`` covers every item (dead ones at zero); ``holders`` maps
     each live item to the agents attaining its price, ascending;
     ``ties`` lists the items with two or more holders, ascending;
-    ``forced`` holds each agent's one-holder items; ``roots`` names the
-    tree of the forest that holds each agent.
+    ``forced`` holds each agent's one-holder items and ``gamma`` its tie
+    items; ``roots`` names the tree of the forest that holds each agent.
+    Dead items carry no edges and appear in none of these but ``prices``.
     """
 
     prices: tuple[Fraction, ...]
     holders: dict[int, tuple[int, ...]]
     ties: tuple[int, ...]
     forced: tuple[Bundle, ...]
+    gamma: tuple[Bundle, ...]
     roots: tuple[int, ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.forced)
+
     def face(self, guard: int = DEFAULT_FACE_GUARD) -> Iterator[tuple[int, ...]]:
-        """Tie assignments of the optimal face; see :func:`_face`."""
-        return _face(self.holders, self.ties, guard)
+        """Every optimal-face member as the holder chosen for each tie item, lexicographic.
+
+        Forced bundles are fixed; each tie item independently goes to
+        one of its holders, so the count is the product of tie-item
+        degrees.
+        """
+        if math.prod(len(self.holders[j]) for j in self.ties) > guard:
+            raise SizeGuardError(f"optimal face larger than guard {guard}")
+        return itertools.product(*(self.holders[j] for j in self.ties))
 
     def allocation(self, choice: Sequence[int]) -> Allocation:
         """The face member that gives tie item ``ties[k]`` to agent ``choice[k]``."""
-        return _allocation(self.forced, self.ties, choice)
+        bundles = [set(b) for b in self.forced]
+        for j, holder in zip(self.ties, choice):
+            bundles[holder].add(j)
+        return tuple(frozenset(b) for b in bundles)
 
 
-def price_forest(
-    p: PerturbedInstance,
-    w: Sequence[Fraction],
-    eta: Fraction,
-    prices: Sequence[Fraction] | None = None,
-) -> PriceForest:
-    """Prices and price holders at a validated weight, checked to form a forest.
+def build_tie_graph(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -> TieGraph:
+    """Prices and price holders at a weight, checked to form a forest.
 
-    The only place that computes them. Given ``prices`` must be exactly
-    the maxima. A one-holder item is a leaf and cannot close a cycle, so
-    only tie edges enter the union-find; a cycle means the perturbation
-    draw was degenerate after all, and the error carries it so the
-    caller can re-draw.
+    The only place that computes them. A one-holder item is a leaf and
+    cannot close a cycle, so only tie edges enter the union-find; a
+    cycle means the perturbation draw was degenerate after all, and the
+    error carries it so the caller can re-draw.
     """
     n = p.n
-    mult = [wi + eta for wi in w]
-    top_prices = [Fraction(0)] * (p.m + 1)
+    mult = [wi + eta for wi in validate_weight(w, n)]
+    prices = [Fraction(0)] * (p.m + 1)
     holders: dict[int, tuple[int, ...]] = {}
     forced: list[list[int]] = [[] for _ in range(n)]
+    gamma: list[list[int]] = [[] for _ in range(n)]
     ties: list[int] = []
     for j in p.live_items:
         vals = [mult[i] * p.pvalues[i][j] for i in range(n)]
         top = max(vals)
-        if prices is not None and prices[j] != top:
-            raise SoundnessError(f"no agent attains the given price of item {j} as the maximum")
         hs = tuple(i for i in range(n) if vals[i] == top)
         if top == 0:  # a holder of zero value attains a zero price
             for i in hs:
                 if p.pvalues[i][j] == 0:
                     raise SoundnessError(f"tie edge ({i},{j}) would carry a zero value")
-        top_prices[j] = top
+        prices[j] = top
         holders[j] = hs
         if len(hs) == 1:
             forced[hs[0]].append(j)
         else:
             ties.append(j)
+            for i in hs:
+                gamma[i].append(j)
 
     # union-find over agents (0..n-1) and tie items (n + j)
     parent = list(range(n + p.m + 1))
@@ -121,11 +138,12 @@ def price_forest(
         adjacency.setdefault(n + j, []).append(i)
     if len(ties) > n - 1:
         raise SoundnessError(f"{len(ties)} tie items exceed the forest bound {n - 1}")
-    return PriceForest(
-        prices=tuple(top_prices),
+    return TieGraph(
+        prices=tuple(prices),
         holders=holders,
         ties=tuple(ties),
         forced=tuple(frozenset(b) for b in forced),
+        gamma=tuple(frozenset(b) for b in gamma),
         roots=tuple(find(i) for i in range(n)),
     )
 
@@ -146,69 +164,9 @@ def dual_prices(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -> t
     Positive for goods and zero-positive items, negative for chores;
     exactly zero only on dead (all-zero) items.
     """
-    prices = price_forest(p, validate_weight(w, p.n), eta).prices
+    prices = build_tie_graph(p, w, eta).prices
     check_price_signs(p, prices)
     return prices
-
-
-@dataclass(frozen=True)
-class TieGraph:
-    """Equality graph of price-attaining (agent, item) pairs at a fixed weight.
-
-    ``forced`` holds each agent's degree-1 items; ``tie_items`` the
-    items with degree >= 2; ``gamma`` each agent's tie neighborhood;
-    ``item_neighbors`` each live item's agents. ``components`` maps every
-    node (agents: 0..n-1, item j: n + j) to a component id. Dead items
-    carry no edges and appear in none of these.
-    """
-
-    n: int
-    aux_item: int
-    weights: tuple[Fraction, ...]
-    eta: Fraction
-    prices: tuple[Fraction, ...]
-    edges: frozenset[tuple[int, int]]
-    forced: tuple[Bundle, ...]
-    tie_items: frozenset[int]
-    gamma: tuple[Bundle, ...]
-    item_neighbors: Mapping[int, tuple[int, ...]]
-    components: Mapping[int, int]
-    zero_items: frozenset[int]
-
-    def item_node(self, j: int) -> int:
-        return self.n + j
-
-    def live_items(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.aux_item + 1) if j not in self.zero_items)
-
-
-def build_tie_graph(
-    p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction, prices: Sequence[Fraction]
-) -> TieGraph:
-    """The equality graph of :func:`price_forest` as a searchable structure."""
-    wt = validate_weight(w, p.n)
-    forest = price_forest(p, wt, eta, prices)
-    n = p.n
-    components: dict[int, int] = {}
-    labels: dict[int, int] = {}
-    for i, root in enumerate(forest.roots):
-        components[i] = labels.setdefault(root, len(labels))
-    for j, hs in forest.holders.items():
-        components[n + j] = components[hs[0]]
-    return TieGraph(
-        n=n,
-        aux_item=p.aux_item,
-        weights=wt,
-        eta=eta,
-        prices=tuple(prices),
-        edges=frozenset((i, j) for j, hs in forest.holders.items() for i in hs),
-        forced=forest.forced,
-        tie_items=frozenset(forest.ties),
-        gamma=tuple(frozenset(j for j in forest.ties if i in forest.holders[j]) for i in range(n)),
-        item_neighbors=forest.holders,
-        components=components,
-        zero_items=p.zero_items,
-    )
 
 
 def _recover_cycle(adjacency: dict[int, list[int]], a: int, b: int, n: int) -> tuple:
@@ -236,35 +194,12 @@ def price_of(prices: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     return sum((prices[t] for t in bundle), Fraction(0))
 
 
-def _face(
-    holders: Mapping[int, Sequence[int]], ties: Sequence[int], guard: int
-) -> Iterator[tuple[int, ...]]:
-    """Every optimal-face member as the holder chosen for each tie item, lexicographic.
-
-    Forced bundles are fixed; each tie item independently goes to one
-    of its holders, so the count is the product of tie-item degrees.
-    """
-    if math.prod(len(holders[j]) for j in ties) > guard:
-        raise SizeGuardError(f"optimal face larger than guard {guard}")
-    yield from itertools.product(*(holders[j] for j in ties))
-
-
-def _allocation(forced: Sequence[Bundle], ties: Sequence[int], choice: Sequence[int]) -> Allocation:
-    bundles = [set(b) for b in forced]
-    for j, holder in zip(ties, choice):
-        bundles[holder].add(j)
-    return tuple(frozenset(b) for b in bundles)
-
-
 def enumerate_opt(tg: TieGraph, guard: int = DEFAULT_FACE_GUARD) -> tuple[Allocation, ...]:
     """All optimal-face allocations over live items, lexicographic by tie assignment.
 
     Dead items are excluded here and pinned at output time.
     """
-    ties = sorted(tg.tie_items)
-    return tuple(
-        _allocation(tg.forced, ties, choice) for choice in _face(tg.item_neighbors, ties, guard)
-    )
+    return tuple(tg.allocation(choice) for choice in tg.face(guard))
 
 
 def lp_objective(

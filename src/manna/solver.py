@@ -29,7 +29,7 @@ from .preprocess import (
     perturb,
     restrict,
 )
-from .pricing import build_tie_graph, dual_prices, enumerate_opt, price_of, support
+from .pricing import check_price_signs, enumerate_opt, price_of, support
 
 PROFILES = ("goods", "chores", "mixed", "zero-mixed")
 
@@ -158,15 +158,16 @@ def _finish(
     star: StarPoint,
     opts: SolveOptions,
 ) -> tuple[Certificate, VerificationReport]:
-    tg, prices = star.tie_graph, star.prices
+    tg = star.tie_graph
+    prices = tg.prices
     eta = p.constants.eta
     face = enumerate_opt(tg)
-    tau = compute_tau(tg, prices, face)
+    tau = compute_tau(tg, face)
     trace: list[dict] = []
     if opts.mode == "enumerate":
-        alloc_live = find_leveled(tg, prices, tau, face=face, expect_full=True).allocation
+        alloc_live = find_leveled(tg, tau, face=face, expect_full=True).allocation
     else:
-        alloc_live = solve_by_augmenting(tg, prices, tau, star.witnesses, trace, face=face)
+        alloc_live = solve_by_augmenting(tg, tau, star.witnesses, trace, face=face)
 
     swaps_bar: list[frozenset[int]] = []
     for i in range(p.n):
@@ -245,46 +246,47 @@ def explain(
     lines.append("w = (" + ", ".join(format_rat(x) for x in weight) + ")")
     lines.append(f"eta = {format_rat(eta)}")
 
-    prices = dual_prices(p, weight, eta)
-    tg = build_tie_graph(p, weight, eta, prices)
+    if star is None:
+        summary = membership_summary(p, weight, eta)
+        tg, winners = summary.tie_graph, summary.winners
+    else:  # every agent won at the certified point
+        tg, winners = star.tie_graph, frozenset(range(p.n))
+    prices = tg.prices
+    check_price_signs(p, prices)
     aux = p.aux_item
 
     def item_name(j: int) -> str:
         return "aux" if j == aux else str(j + 1)
 
-    lines.append("prices: " + ", ".join(f"{item_name(j)}={format_rat(prices[j])}" for j in tg.live_items()))
-    lines.append(
-        "edges: " + ", ".join(f"(a{i + 1},{item_name(j)})" for i, j in sorted(tg.edges))
-    )
+    lines.append("prices: " + ", ".join(f"{item_name(j)}={format_rat(prices[j])}" for j in tg.holders))
+    edges = sorted((i, j) for j, hs in tg.holders.items() for i in hs)
+    lines.append("edges: " + ", ".join(f"(a{i + 1},{item_name(j)})" for i, j in edges))
     for i in range(p.n):
         lines.append(f"forced bundle a{i + 1}: {{{', '.join(item_name(j) for j in sorted(tg.forced[i]))}}}")
-    lines.append("tie items: {" + ", ".join(item_name(j) for j in sorted(tg.tie_items)) + "}")
-    comp_items: dict[int, list[str]] = {}
-    for node, cid in sorted(tg.components.items()):
-        name = f"a{node + 1}" if node < p.n else item_name(node - p.n)
-        comp_items.setdefault(cid, []).append(name)
-    for cid in sorted(comp_items):
-        lines.append(f"component {cid}: {' '.join(comp_items[cid])}")
+    lines.append("tie items: {" + ", ".join(item_name(j) for j in tg.ties) + "}")
+    # components are numbered by their first agent; an item sits in its first holder's
+    members: dict[int, list[str]] = {}
+    for i, root in enumerate(tg.roots):
+        members.setdefault(root, []).append(f"a{i + 1}")
+    for j, hs in tg.holders.items():
+        members[tg.roots[hs[0]]].append(item_name(j))
+    for k, names in enumerate(members.values()):
+        lines.append(f"component {k}: {' '.join(names)}")
 
     face = enumerate_opt(tg)
     lines.append(f"optimal face size: {len(face)}")
-    tau = compute_tau(tg, prices, face)
+    tau = compute_tau(tg, face)
     lines.append(f"tau = {format_rat(tau)}")
-    level = find_leveled(tg, prices, tau, face=face)
+    level = find_leveled(tg, tau, face=face)
     for i in range(p.n):
-        lines.append(
-            f"p_plus a{i + 1} = {format_rat(p_plus(tg, prices, i, level.allocation[i]))}"
-        )
-    summary = membership_summary(p, weight, eta)
-    table = ", ".join(
-        f"a{i + 1}: {'yes' if i in summary.winners else 'no'}" for i in range(p.n)
-    )
+        lines.append(f"p_plus a{i + 1} = {format_rat(p_plus(tg, i, level.allocation[i]))}")
+    table = ", ".join(f"a{i + 1}: {'yes' if i in winners else 'no'}" for i in range(p.n))
     lines.append("membership: " + table)
     if support(weight) != frozenset(range(p.n)):
         lines.append("boundary weight: support = {" + ", ".join(f"a{i + 1}" for i in sorted(support(weight))) + "}")
     if with_trace and star is not None:
         trace: list[dict] = []
-        solve_by_augmenting(tg, prices, tau, star.witnesses, trace, face=face)
+        solve_by_augmenting(tg, tau, star.witnesses, trace, face=face)
         lines.append(f"augmenting trace ({len(trace)} events):")
         for event in trace:
             lines.append("  " + ", ".join(f"{k}={v}" for k, v in event.items()))

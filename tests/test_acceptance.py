@@ -172,8 +172,8 @@ def test_criterion_2_oracle_equivalence(corpus):
         eta = cert.eta
         w = cert.w_star
         prices = dual_prices(p, w, eta)
-        tg = build_tie_graph(p, w, eta, prices)
-        if compute_tau(tg, prices) != brute_tau(p, w, eta):
+        tg = build_tie_graph(p, w, eta)
+        if compute_tau(tg) != brute_tau(p, w, eta):
             bad.append((run.index, "tau"))
             continue
         total = sum(prices)
@@ -205,18 +205,18 @@ def test_criterion_3_structural_invariants(corpus):
             cert = run.certs[mode]
             try:
                 prices = dual_prices(p, cert.w_star, cert.eta)  # asserts price signs
-                tg = build_tie_graph(p, cert.w_star, cert.eta, prices)  # asserts acyclicity
+                tg = build_tie_graph(p, cert.w_star, cert.eta)  # asserts acyclicity
             except Exception as exc:
                 bad.append((run.index, mode, repr(exc)))
                 continue
-            if len(tg.tie_items) > p.n - 1:
+            if len(tg.ties) > p.n - 1:
                 bad.append((run.index, mode, "tie bound"))
             classes = p.classes()
             for j, cls in classes.items():
                 sign_ok = prices[j] < 0 if cls is ItemClass.CHORE else prices[j] > 0
                 if not sign_ok:
                     bad.append((run.index, mode, f"sign item {j}"))
-            if any(p.pvalues[i][j] == 0 for i, j in tg.edges):
+            if any(p.pvalues[i][j] == 0 for j, hs in tg.holders.items() for i in hs):
                 bad.append((run.index, mode, "zero-value edge"))
     record_acceptance(
         "criterion 3 structural invariants: "
@@ -264,7 +264,7 @@ def test_criterion_4_boundary_covering(corpus):
                     bad.append((run.index, "label", repr(exc)))
                     continue
                 prices = dual_prices(p, w, eta)
-                tg = build_tie_graph(p, w, eta, prices)
+                tg = build_tie_graph(p, w, eta)
                 top = max(w)
                 argmax_w = {i for i in range(p.n) if w[i] == top}
                 for alloc in enumerate_opt(tg):
@@ -302,23 +302,23 @@ def test_criterion_5_augmenting_contract(corpus):
         converged += 1
         p = rebuild(run, "augment")
         eta = cert.eta
-        star = build_star_point(p, membership_summary(p, cert.w_star, eta), eta)
-        tg, prices = star.tie_graph, star.prices
-        tau = compute_tau(tg, prices)
+        star = build_star_point(p, membership_summary(p, cert.w_star, eta))
+        tg, prices = star.tie_graph, star.tie_graph.prices
+        tau = compute_tau(tg)
         for alloc in enumerate_opt(tg):
             if max(price_of(prices, b) for b in alloc) != tau:
                 continue
-            lacking = [i for i in range(p.n) if p_plus(tg, prices, i, alloc[i]) < tau]
+            lacking = [i for i in range(p.n) if p_plus(tg, i, alloc[i]) < tau]
             for r in lacking:
-                before = sum(1 for i in range(p.n) if p_plus(tg, prices, i, alloc[i]) >= tau)
-                state = AugmentState.from_allocation(tg, prices, tau, alloc)
+                before = sum(1 for i in range(p.n) if p_plus(tg, i, alloc[i]) >= tau)
+                state = AugmentState.from_allocation(tg, tau, alloc)
                 try:
                     result = augment(state, star.witnesses, root_at(tg, r))
                 except Exception as exc:
                     bad.append((run.index, r, repr(exc)))
                     continue
                 invocations += 1
-                after = sum(1 for i in range(p.n) if p_plus(tg, prices, i, result[i]) >= tau)
+                after = sum(1 for i in range(p.n) if p_plus(tg, i, result[i]) >= tau)
                 enqueues = {e["agent"] for e in state.trace if e["event"] == "push-down"}
                 if not (
                     after > before
@@ -335,22 +335,22 @@ def test_criterion_5_augmenting_contract(corpus):
     # when the corpus happens to avoid deficient threshold members
     for params in [(6, 5, 2, 4, 5), (7, 4, 2, 3, 6), (8, 6, 3, 4, 6), (9, 8, 4, 5, 6)]:
         p, w, eta = make_chain_fixture(*params)
-        star = build_star_point(p, membership_summary(p, w, eta), eta)
-        tg, prices = star.tie_graph, star.prices
-        tau = compute_tau(tg, prices)
+        star = build_star_point(p, membership_summary(p, w, eta))
+        tg, prices = star.tie_graph, star.tie_graph.prices
+        tau = compute_tau(tg)
         for alloc in enumerate_opt(tg):
             if max(price_of(prices, b) for b in alloc) != tau:
                 continue
-            lacking = [i for i in range(3) if p_plus(tg, prices, i, alloc[i]) < tau]
+            lacking = [i for i in range(3) if p_plus(tg, i, alloc[i]) < tau]
             for r in lacking:
-                state = AugmentState.from_allocation(tg, prices, tau, alloc)
+                state = AugmentState.from_allocation(tg, tau, alloc)
                 try:
                     result = augment(state, star.witnesses, root_at(tg, r))
                     invocations += 1
                 except Exception as exc:
                     bad.append(("fixture", params, repr(exc)))
                     continue
-                if not all(p_plus(tg, prices, i, result[i]) >= tau for i in range(3)):
+                if not all(p_plus(tg, i, result[i]) >= tau for i in range(3)):
                     bad.append(("fixture", params, "not satisfied"))
 
     record_acceptance(
@@ -391,7 +391,7 @@ def test_criterion_6_restriction_lemmas(corpus):
             bad.append((run.index, f"only {produced} fair allocations generated"))
 
         eta = cert.eta
-        star = build_star_point(p, membership_summary(p, cert.w_star, eta), eta)
+        star = build_star_point(p, membership_summary(p, cert.w_star, eta))
         members = enumerate_opt(star.tie_graph)
         seen: set = set()
         for _ in range(100):

@@ -1,13 +1,64 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from manna.certificate import Certificate
+from manna.certificate import Certificate, instance_to_dict
 from manna.cli import main
+from manna.solver import explain, generate_instance
 
 E1_DATA = {"agents": 2, "items": 2, "values": [[4, -2], [3, -1]]}
+
+# Full explain output at the certified w* of a 3-agent goods instance:
+# one tie item and two tie-forest components.
+GOODS_EXPLAIN = "\n".join([
+    "weight: certified common point",
+    "w = (178596991327449234092737027320412/472367886568244103998141972271585, "
+    "142355192551930513906386617082967/472367886568244103998141972271585, "
+    "151415702688864355999018327868206/472367886568244103998141972271585)",
+    "eta = 1073741824/193269183255",
+    "prices: 1=32217216043013538503152535709335/10497300140263099073843305644032, "
+    "2=8557779317996118375971064126623/2624325035065774768460826411008, "
+    "3=24163126365920287849408470996445/7872975105197324305382479233024, "
+    "aux=1406494144413682891526/7332279444855939881301",
+    "edges: (a1,3), (a1,aux), (a2,1), (a2,3), (a3,2)",
+    "forced bundle a1: {aux}",
+    "forced bundle a2: {1}",
+    "forced bundle a3: {2}",
+    "tie items: {3}",
+    "component 0: a1 a2 1 3 aux",
+    "component 1: a3 2",
+    "optimal face size: 2",
+    "tau = 8557779317996118375971064126623/2624325035065774768460826411008",
+    "p_plus a1 = 8557779317996118375971064126623/2624325035065774768460826411008",
+    "p_plus a2 = 193304153592721766907091491113785/31491900420789297221529916932096",
+    "p_plus a3 = 8557779317996118375971064126623/2624325035065774768460826411008",
+    "membership: a1: yes, a2: yes, a3: yes",
+    "augmenting trace (0 events):",
+    "",
+])
+
+# Full explain output of E1_DATA at the supplied weight (1/2, 1/2), seed 7.
+E1_HALF_EXPLAIN = "\n".join([
+    "weight: supplied",
+    "w = (1/2, 1/2)",
+    "eta = 134217728/4294557239",
+    "prices: 1=4562992695/2147483648, 2=-19646851441594452615/36889965784610111488, "
+    "aux=4562992695/17178228956",
+    "edges: (a1,1), (a1,aux), (a2,2), (a2,aux)",
+    "forced bundle a1: {1}",
+    "forced bundle a2: {2}",
+    "tie items: {aux}",
+    "component 0: a1 a2 1 2 aux",
+    "optimal face size: 2",
+    "tau = 4562992695/2147483648",
+    "p_plus a1 = 22045771359430356945/9222491446152527872",
+    "p_plus a2 = -9847899243138501255/36889965784610111488",
+    "membership: a1: yes, a2: no",
+    "",
+])
 
 
 @pytest.fixture
@@ -103,6 +154,38 @@ class TestVerifyFailures:
         other.write_text(json.dumps({"agents": 2, "items": 2, "values": [[4, -2], [3, -2]]}))
         assert run("verify", str(other), str(cert_path)) == 1
         assert "digest mismatch" in capsys.readouterr().out
+
+
+class TestVerifyMalformedContent:
+    """Malformed allocations and swap sets fail verification; they are not input errors."""
+
+    @pytest.fixture
+    def three_agent_files(self, tmp_path, capsys) -> tuple[str, dict, Path]:
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(instance_to_dict(generate_instance(3, 3, 3, profile="goods"))))
+        cert_path = tmp_path / "cert.json"
+        assert run("solve", str(inst_path), "--seed", "1", "--out", str(cert_path)) == 0
+        capsys.readouterr()
+        return str(inst_path), json.loads(cert_path.read_text()), cert_path
+
+    @pytest.mark.parametrize(
+        "mutate, clause",
+        [
+            (lambda d: d.update(allocation_perturbed=d["allocation_perturbed"][:1]), "ief1-on-perturbed"),
+            (lambda d: d["allocation_perturbed"][0].append(99), "ief1-on-perturbed"),
+            (lambda d: d.update(swaps_original=[[99]] + d["swaps_original"][1:]), "ief1-on-original"),
+        ],
+        ids=["one-bundle-for-three-agents", "item-99-in-bundle", "swap-item-99"],
+    )
+    def test_fails_with_clause(self, three_agent_files, capsys, mutate, clause):
+        inst_path, data, cert_path = three_agent_files
+        mutate(data)
+        cert_path.write_text(json.dumps(data))
+        assert run("verify", inst_path, str(cert_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert clause in report["failures"] and report["overall"] is False
 
 
 class TestExitCodes:
@@ -205,3 +288,11 @@ class TestExplain:
     def test_boundary_weight_note(self, e1_file, capsys):
         assert run("explain", e1_file, "--seed", "7", "--w", "1,0") == 0
         assert "boundary weight" in capsys.readouterr().out
+
+    def test_pinned_text_at_certified_point(self):
+        text = explain(generate_instance(3, 3, 3, profile="goods"), seed=1, with_trace=True)
+        assert text == GOODS_EXPLAIN
+
+    def test_pinned_text_at_supplied_weight(self, e1_file, capsys):
+        assert run("explain", e1_file, "--seed", "7", "--w", "1/2,1/2") == 0
+        assert capsys.readouterr().out == E1_HALF_EXPLAIN

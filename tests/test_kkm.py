@@ -78,7 +78,7 @@ class TestBoundaryBehavior:
                 if sup == frozenset(range(n)):
                     continue
                 prices = dual_prices(p, w, eta)
-                tg = build_tie_graph(p, w, eta, prices)
+                tg = build_tie_graph(p, w, eta)
                 top = max(w)
                 argmax_w = {i for i in range(n) if w[i] == top}
                 for alloc in enumerate_opt(tg):
@@ -116,7 +116,7 @@ class TestFindWstar:
         for i in range(2):
             assert cell_membership(p, star.w_star, eta, i) is not None
         for witness in star.witnesses:
-            prices = star.prices
+            prices = star.tie_graph.prices
             bundle_prices = [price_of(prices, b) for b in witness.allocation]
             assert bundle_prices[witness.agent] == max(bundle_prices)
 
@@ -142,7 +142,7 @@ class TestFindWstar:
 
     def test_chain_fixture_is_star_point(self, chain_fixture):
         p, w, eta = chain_fixture
-        star = build_star_point(p, membership_summary(p, w, eta), eta)
+        star = build_star_point(p, membership_summary(p, w, eta))
         assert {cw.agent for cw in star.witnesses} == {0, 1, 2}
 
 

@@ -17,44 +17,44 @@ from test_pricing import HALF, ETA, random_perturbed, random_weight
 @pytest.fixture
 def worked(ebar):
     prices = dual_prices(ebar, HALF, ETA)
-    tg = build_tie_graph(ebar, HALF, ETA, prices)
+    tg = build_tie_graph(ebar, HALF, ETA)
     return ebar, tg, prices
 
 
 class TestPPlus:
     def test_two_candidate_comparisons(self, worked):
         _, tg, prices = worked
-        assert p_plus(tg, prices, 0, {0}) == F(33, 16) + F(33, 124)
-        assert p_plus(tg, prices, 1, {1, 2}) == F(-165, 496)
+        assert p_plus(tg, 0, {0}) == F(33, 16) + F(33, 124)
+        assert p_plus(tg, 1, {1, 2}) == F(-165, 496)
 
     def test_no_ties_returns_plain_price(self, ebar):
         w = (F(2, 3), F(1, 3))
         prices = dual_prices(ebar, w, ETA)
-        tg = build_tie_graph(ebar, w, ETA, prices)
+        tg = build_tie_graph(ebar, w, ETA)
         assert tg.gamma[0] == frozenset()
-        assert p_plus(tg, prices, 0, tg.forced[0]) == price_of(prices, tg.forced[0])
+        assert p_plus(tg, 0, tg.forced[0]) == price_of(prices, tg.forced[0])
 
     def test_sandwich_violation_rejected(self, worked):
         _, tg, prices = worked
         with pytest.raises(InputError):
-            p_plus(tg, prices, 0, {1})  # item 1 is forced to the other agent
+            p_plus(tg, 0, {1})  # item 1 is forced to the other agent
 
     def test_never_below_plain_price(self, worked):
         _, tg, prices = worked
         for bundle in ({0}, {0, 2}):
-            assert p_plus(tg, prices, 0, bundle) >= price_of(prices, bundle)
+            assert p_plus(tg, 0, bundle) >= price_of(prices, bundle)
 
 
 class TestTau:
     def test_worked_value(self, worked):
         _, tg, prices = worked
-        assert compute_tau(tg, prices) == F(33, 16)
+        assert compute_tau(tg) == F(33, 16)
 
     def test_no_ties_tau_is_forced_max(self, ebar):
         w = (F(2, 3), F(1, 3))
         prices = dual_prices(ebar, w, ETA)
-        tg = build_tie_graph(ebar, w, ETA, prices)
-        assert compute_tau(tg, prices) == max(
+        tg = build_tie_graph(ebar, w, ETA)
+        assert compute_tau(tg) == max(
             price_of(prices, b) for b in enumerate_opt(tg)[0]
         )
 
@@ -63,11 +63,11 @@ class TestTau:
         expected = min(
             max(price_of(prices, b) for b in alloc) for alloc in reversed(enumerate_opt(tg))
         )
-        assert compute_tau(tg, prices) == expected
+        assert compute_tau(tg) == expected
 
     def test_agrees_with_definitional_oracle(self, worked):
         ebar, tg, prices = worked
-        assert brute_tau(ebar, HALF, ETA) == compute_tau(tg, prices)
+        assert brute_tau(ebar, HALF, ETA) == compute_tau(tg)
 
     def test_oracle_agreement_randomized(self):
         rng = random.Random(17)
@@ -77,33 +77,33 @@ class TestTau:
             w = random_weight(rng, n)
             eta = p.constants.eta
             prices = dual_prices(p, w, eta)
-            tg = build_tie_graph(p, w, eta, prices)
-            assert compute_tau(tg, prices) == brute_tau(p, w, eta)
+            tg = build_tie_graph(p, w, eta)
+            assert compute_tau(tg) == brute_tau(p, w, eta)
 
 
 class TestFindLeveled:
     def test_non_star_point_partial_satisfaction(self, worked):
         _, tg, prices = worked
-        state = find_leveled(tg, prices, F(33, 16))
+        state = find_leveled(tg, F(33, 16))
         assert state.allocation == (frozenset({0}), frozenset({1, 2}))
         assert state.satisfied == frozenset({0})
 
     def test_expect_full_raises_off_star(self, worked):
         _, tg, prices = worked
         with pytest.raises(SoundnessError):
-            find_leveled(tg, prices, F(33, 16), expect_full=True)
+            find_leveled(tg, F(33, 16), expect_full=True)
 
     def test_symmetric_star_point_fully_satisfied(self, disjoint_support):
         eta = F(1, 12)
-        star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta), eta)
-        tau = compute_tau(star.tie_graph, star.prices)
-        state = find_leveled(star.tie_graph, star.prices, tau, expect_full=True)
+        star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta))
+        tau = compute_tau(star.tie_graph)
+        state = find_leveled(star.tie_graph, tau, expect_full=True)
         assert state.satisfied == frozenset({0, 1})
 
     def test_wrong_tau_detected(self, worked):
         _, tg, prices = worked
         with pytest.raises(SoundnessError):
-            find_leveled(tg, prices, F(999))
+            find_leveled(tg, F(999))
 
 
 class TestExchangeIdentity:

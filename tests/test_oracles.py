@@ -133,6 +133,15 @@ class TestVerifyCertificate:
         assert report.tau_check is False
         assert "tau" in report.failures
 
+    def test_nudged_price_fails_tau(self, e1):
+        # prices reach the program from outside only in a certificate
+        cert, _ = solve(e1, SolveOptions(seed=7))
+        for j in range(len(cert.prices)):
+            for delta in (F(1, 1000), F(-1, 1000)):
+                nudged = tuple(x + delta if k == j else x for k, x in enumerate(cert.prices))
+                report = verify_certificate(e1, replace(cert, prices=nudged))
+                assert "tau" in report.failures and not report.overall
+
     def test_digest_mismatch_named(self, e1):
         cert, _ = solve(e1, SolveOptions(seed=7))
         other = Instance.from_rows([[4, -2], [3, -2]])
