@@ -18,13 +18,12 @@ from .errors import (
     SoundnessError,
     VerificationError,
 )
-from .kkm import CellWitness, StarPoint, cell_membership, covering_label, find_wstar
+from .kkm import MembershipSummary, find_wstar, membership_summary
 from .leveling import LevelState, compute_tau, find_leveled, p_plus
 from .model import (
     Allocation,
     Bundle,
     Instance,
-    Rat,
     SwapWitness,
     bundle_value,
     ief1_witnesses,
@@ -46,7 +45,6 @@ from .preprocess import (
     Constants,
     ItemClass,
     PerturbedInstance,
-    check_nondegeneracy,
     choose_epsilon,
     classify_items,
     compute_constants,

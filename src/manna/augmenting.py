@@ -3,7 +3,8 @@
 Starting from an optimal-face allocation whose maximum bundle price is
 the threshold, one run processes the tie-forest component of a
 deficient agent r: each handled agent swaps a set X of adjacent tie
-items (constructed from its membership witness) and pushes affected
+items (constructed from its membership witness, an optimal-face
+allocation in which its bundle price is maximal) and pushes affected
 neighbors down the tree, strictly increasing the number of agents whose
 relaxed price reaches the threshold while keeping the maximum price
 fixed. Every contract from the underlying argument is asserted at run
@@ -14,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError, SoundnessError
-from .kkm import CellWitness
 from .leveling import max_price, p_plus
 from .model import Allocation, Bundle
-from .pricing import TieGraph, enumerate_opt, price_of
+from .pricing import TieGraph, price_of
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def root_at(tg: TieGraph, r: int) -> RootedForest:
 def construct_X(
     state: AugmentState,
     agent: int,
-    witness: CellWitness,
+    witness: Allocation,
     tau: Fraction,
     rf: RootedForest,
 ) -> Bundle:
@@ -126,7 +126,7 @@ def construct_X(
     s_i = frozenset(state.current[agent])
     if p_plus(tg, agent, s_i) >= tau:
         raise SoundnessError(f"agent {agent} is not deficient; transfer-set construction refused")
-    witness_bundle = witness.allocation[agent]
+    witness_bundle = witness[agent]
     if price_of(prices, witness_bundle) < tau:
         raise SoundnessError(f"witness bundle for agent {agent} does not reach the threshold")
     base = price_of(prices, s_i)
@@ -176,7 +176,7 @@ def construct_X(
 
 def augment(
     state: AugmentState,
-    witnesses: Sequence[CellWitness],
+    witnesses: Mapping[int, Allocation],
     rf: RootedForest,
 ) -> Allocation:
     """One full queue run; returns the reassembled allocation.
@@ -257,21 +257,20 @@ def augment(
 def solve_by_augmenting(
     tg: TieGraph,
     tau: Fraction,
-    witnesses: Sequence[CellWitness],
+    witnesses: Mapping[int, Allocation],
     trace: list[dict] | None = None,
     *,
-    face: Sequence[Allocation] | None = None,
+    face: Sequence[Allocation],
 ) -> Allocation:
     """Iterate augmenting runs from a threshold allocation to a fixed point.
 
-    Starts from the first optimal-face member attaining the threshold
-    (``face``, when given, is the enumerated optimal face); each run
+    Starts from the first member of the optimal face ``face`` attaining
+    the threshold; ``witnesses[i]`` is agent i's membership witness. Each run
     strictly increases the satisfied count, so at most n runs happen.
     The result satisfies every agent, like the enumeration route, but
     is reached constructively.
     """
-    members = enumerate_opt(tg) if face is None else face
-    start = next((alloc for alloc in members if max_price(tg.prices, alloc) == tau), None)
+    start = next((alloc for alloc in face if max_price(tg.prices, alloc) == tau), None)
     if start is None:
         raise SoundnessError("no optimal-face member attains the threshold")
 

@@ -94,6 +94,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.guard < 0:
+        raise InputError(f"the enumeration guard must be nonnegative, not {args.guard}")
     inst = load_instance(args.instance)
     try:
         cert = Certificate.from_json(Path(args.certificate).read_text())

@@ -39,10 +39,10 @@ certified point, are not generated.
 
 Every structure at a weight is one :class:`manna.pricing.TieGraph`,
 built once per weight: a vertex's graph serves both candidate
-generation and the vertex's membership test, and the certified point is
-assembled from the winning candidate's summary, which carries its
-graph, so neither the graph nor the optimal face at w* is built again
-here.
+generation and the vertex's membership test. The certified point is
+the winning candidate's :class:`MembershipSummary`: its weight, its
+graph and one witness allocation per agent, so neither the graph nor
+the optimal face at w* is built again here.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .pricing import (
     build_tie_graph,
     check_price_signs,
     price_of,
-    support,
     validate_weight,
 )
 
@@ -70,31 +69,17 @@ Form = tuple[Fraction, ...]  # a . t + c as (a_0, ..., a_{n-2}, c)
 
 
 @dataclass(frozen=True)
-class CellWitness:
-    """Evidence that a weight lies in an agent's membership region."""
-
-    agent: int
-    w: Weight
-    allocation: Allocation
-    max_price: Fraction
-
-
-@dataclass(frozen=True)
-class StarPoint:
-    """A certified common point: one membership witness per agent."""
-
-    w_star: Weight
-    witnesses: tuple[CellWitness, ...]
-    tie_graph: TieGraph
-
-
-@dataclass(frozen=True)
 class MembershipSummary:
+    """The agents that can top some optimal-face member at ``w``, with their witnesses.
+
+    ``witnesses[i]`` is an optimal-face allocation in which agent i's
+    bundle price is maximal, for every winner i.
+    """
+
     w: Weight
     tie_graph: TieGraph
     winners: frozenset[int]
     witnesses: Mapping[int, Allocation]
-    face_size: int
 
 
 def membership_summary(
@@ -115,11 +100,9 @@ def membership_summary(
     tg = build_tie_graph(p, wt, eta) if tie_graph is None else tie_graph
     prices, ties = tg.prices, tg.ties
     base = [price_of(prices, bundle) for bundle in tg.forced]
-    face_size = 0
     winners: set[int] = set()
     witnesses: dict[int, Allocation] = {}
     for choice in tg.face(face_guard):
-        face_size += 1
         bundle_price = list(base)
         for j, holder in zip(ties, choice):
             bundle_price[holder] += prices[j]
@@ -130,59 +113,16 @@ def membership_summary(
             alloc = tg.allocation(choice)
             for i in fresh:
                 witnesses[i] = alloc
-    return MembershipSummary(
-        w=wt,
-        tie_graph=tg,
-        winners=frozenset(winners),
-        witnesses=witnesses,
-        face_size=face_size,
-    )
+    return MembershipSummary(w=wt, tie_graph=tg, winners=frozenset(winners), witnesses=witnesses)
 
 
-def cell_membership(
-    p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction, agent: int
-) -> CellWitness | None:
-    """Witness allocation making ``agent`` a global price maximum, or None."""
-    summary = membership_summary(p, w, eta)
-    if agent not in summary.winners:
-        return None
-    alloc = summary.witnesses[agent]
-    return CellWitness(
-        agent=agent,
-        w=summary.w,
-        allocation=alloc,
-        max_price=price_of(summary.tie_graph.prices, alloc[agent]),
-    )
-
-
-def covering_label(p: PerturbedInstance, w: Sequence[Fraction], eta: Fraction) -> int:
-    """Smallest supported agent whose membership holds at ``w``; always exists."""
-    summary = membership_summary(p, w, eta)
-    candidates = sorted(summary.winners & support(summary.w))
-    if not candidates:
-        raise SoundnessError(
-            f"no supported agent covers weight {tuple(map(str, w))}; degenerate or buggy instance"
-        )
-    return candidates[0]
-
-
-def build_star_point(p: PerturbedInstance, summary: MembershipSummary) -> StarPoint:
-    """Assemble the certified object from a summary in which every agent won."""
+def build_star_point(p: PerturbedInstance, summary: MembershipSummary) -> MembershipSummary:
+    """Certify a summary as the common point: every agent won and the prices have their signs."""
     missing = sorted(set(range(p.n)) - summary.winners)
     if missing:
         raise SoundnessError(f"agents {missing} have no membership witness at the star point")
-    prices = summary.tie_graph.prices
-    check_price_signs(p, prices)
-    witnesses = tuple(
-        CellWitness(
-            agent=i,
-            w=summary.w,
-            allocation=summary.witnesses[i],
-            max_price=price_of(prices, summary.witnesses[i][i]),
-        )
-        for i in range(p.n)
-    )
-    return StarPoint(w_star=summary.w, witnesses=witnesses, tie_graph=summary.tie_graph)
+    check_price_signs(p, summary.tie_graph.prices)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +234,12 @@ def _candidates(
     return [(_weight(t), graphs.get(t)) for t in sorted(points)]
 
 
-def find_wstar(p: PerturbedInstance, eta: Fraction, *, face_guard: int = DEFAULT_FACE_GUARD) -> StarPoint:
+def find_wstar(
+    p: PerturbedInstance, eta: Fraction, *, face_guard: int = DEFAULT_FACE_GUARD
+) -> MembershipSummary:
     """Locate and certify the lexicographically first common point of all membership regions.
+
+    Returns the summary at that point, in which every agent won.
 
     The candidate set is complete for n <= 3 (see the module docstring),
     so running out of candidates is a soundness violation worth

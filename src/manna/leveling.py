@@ -8,8 +8,9 @@ relaxation. At a genuine fixed-point weight every agent reaches tau.
 
 Everything here reads the prices from the :class:`TieGraph` it is
 given. :func:`compute_tau` and :func:`find_leveled` also take the
-optimal face, enumerated once by the caller, so one enumeration at a
-weight serves both; without it they enumerate the face themselves.
+optimal face, enumerated once by the caller
+(:func:`manna.pricing.enumerate_opt`), so one enumeration at a weight
+serves both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, SoundnessError
 from .model import Allocation, Bundle
-from .pricing import TieGraph, enumerate_opt, price_of
+from .pricing import TieGraph, price_of
 
 
 @dataclass(frozen=True)
@@ -58,26 +59,26 @@ def max_price(prices: Sequence[Fraction], alloc: Allocation) -> Fraction:
     return max(price_of(prices, bundle) for bundle in alloc)
 
 
-def compute_tau(tg: TieGraph, face: Sequence[Allocation] | None = None) -> Fraction:
-    """Exact min over the optimal face of the maximum bundle price."""
-    return min(max_price(tg.prices, alloc) for alloc in (enumerate_opt(tg) if face is None else face))
+def compute_tau(tg: TieGraph, face: Sequence[Allocation]) -> Fraction:
+    """Exact min over the optimal face ``face`` of the maximum bundle price."""
+    return min(max_price(tg.prices, alloc) for alloc in face)
 
 
 def find_leveled(
     tg: TieGraph,
     tau: Fraction,
     *,
-    face: Sequence[Allocation] | None = None,
+    face: Sequence[Allocation],
     expect_full: bool = False,
 ) -> LevelState:
-    """Pick the leveled allocation, ties broken by tie-item assignment order.
+    """Pick the leveled allocation from the optimal face, ties broken by tie-item assignment order.
 
     With ``expect_full`` set (inputs from a certified fixed-point
     weight) the returned state must satisfy every agent; anything less
     is escalated as a soundness error.
     """
     best: LevelState | None = None
-    for alloc in enumerate_opt(tg) if face is None else face:
+    for alloc in face:
         if max_price(tg.prices, alloc) != tau:
             continue
         satisfied = frozenset(i for i in range(tg.n) if p_plus(tg, i, alloc[i]) >= tau)

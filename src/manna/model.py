@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 
-Rat = Fraction
-
 Bundle = frozenset[int]
 Allocation = tuple[Bundle, ...]
 
@@ -61,9 +59,6 @@ class Instance:
         if not values:
             raise InputError("empty value matrix")
         return cls(n=len(values), m=len(values[0]), values=values)
-
-    def value(self, agent: int, item: int) -> Fraction:
-        return self.values[agent][item]
 
     def check_agent(self, agent: int) -> None:
         if not 0 <= agent < self.n:

@@ -231,14 +231,13 @@ def compute_constants(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Consta
 class PerturbedInstance:
     """The working instance: one extra item everyone values at lam/2, values nudged down.
 
-    ``pvalues`` is n x (m+1); ``epsilons`` is n x m with entry zero
-    exactly where the base value is zero. ``m`` always refers to the
-    base item count; the auxiliary item has index ``m``.
+    ``pvalues`` is n x (m+1), zero exactly where the base value is zero.
+    ``m`` always refers to the base item count; the auxiliary item has
+    index ``m``.
     """
 
     base: Instance
     pvalues: tuple[tuple[Fraction, ...], ...]
-    epsilons: tuple[tuple[Fraction, ...], ...]
     constants: Constants
     seed: int
 
@@ -267,33 +266,23 @@ class PerturbedInstance:
         zero = self.zero_items
         return tuple(j for j in range(self.m + 1) if j not in zero)
 
-    def zero_item_pins(self, reference: Instance | None = None) -> dict[int, int]:
-        """Holder for each dead (all-zero) item: smallest agent with maximal value.
+    def zero_item_pins(self, reference: Instance) -> dict[int, int]:
+        """Holder for each dead (all-zero) item: smallest agent with maximal ``reference`` value.
 
         Dead items are welfare-neutral here, but an item that lost its
         negative entries to normalization must go to an agent whose
         pre-normalization value was zero, or efficiency on the original
-        instance breaks; pass the original instance as ``reference``.
+        instance breaks; ``reference`` is that original instance.
         """
-        source = reference if reference is not None else self.base
         pins: dict[int, int] = {}
         for j in self.zero_items:
-            col = [source.values[i][j] for i in range(self.n)]
+            col = [reference.values[i][j] for i in range(self.n)]
             pins[j] = col.index(max(col))
         return pins
 
     def classes(self) -> dict[int, ItemClass]:
         """Sign classes over the perturbed matrix, aux item included, dead items omitted."""
-        out: dict[int, ItemClass] = {}
-        for j in self.live_items:
-            col = [self.pvalues[i][j] for i in range(self.n)]
-            if all(v > 0 for v in col):
-                out[j] = ItemClass.GOOD
-            elif all(v < 0 for v in col):
-                out[j] = ItemClass.CHORE
-            else:
-                out[j] = ItemClass.ZERO_POSITIVE
-        return out
+        return classify_items(self.as_instance())[0]
 
     def as_instance(self) -> Instance:
         return Instance(self.n, self.m + 1, self.pvalues)
@@ -317,66 +306,45 @@ def perturb(
     seed: int,
     constants: Constants,
     *,
-    max_retries: int = DEFAULT_RETRIES,
+    attempt: int = 0,
     grid_base: int = DEFAULT_GRID_BASE,
-    attempt_offset: int = 0,
 ) -> PerturbedInstance:
-    """Draw the perturbed instance deterministically from ``seed``.
+    """Draw number ``attempt`` of the perturbed instance for ``seed``.
 
     Each nonzero entry is reduced by a uniform random rational from a
     fixed denominator grid in (0, epsilon]; zero entries stay zero, and
-    the auxiliary item is appended at value lam/2 for everyone. When
-    the instance is small enough for full cycle enumeration, the draw
-    is rejected and retried until no value-ratio cycle multiplies to
-    one; otherwise acyclicity is asserted lazily at every equality
-    graph build and a violation resurfaces here through the caller.
+    the auxiliary item is appended at value lam/2 for everyone. Every
+    (seed, attempt) pair gives its own reproducible draw. When the
+    instance is small enough for full cycle enumeration, a draw with a
+    value-ratio cycle that multiplies to one raises
+    :class:`DegeneracyError` carrying that cycle, and the caller draws
+    the next attempt; otherwise acyclicity is asserted lazily at every
+    equality graph build.
     """
     lam, eps = constants.lam, constants.epsilon
     if lam is None or eps is None:
         raise InputError("cannot perturb an all-zero instance")
+    if grid_base < 1:
+        raise InputError(f"perturbation grid base must be at least 1, not {grid_base}")
     denom = grid_base * denominators_lcm(inst.values)
     while (eps * denom) < 2**20:
         denom *= 2
     ticks = int(eps * denom)  # floor; grid points k/denom for k in [1, ticks]
-    eager = inst.n <= EAGER_CYCLE_GUARD[0] and inst.m <= EAGER_CYCLE_GUARD[1]
 
-    last_cycle: tuple | None = None
-    for attempt in range(attempt_offset, attempt_offset + max_retries + 1):
-        rng = random.Random(_mix_seed(seed, attempt))
-        epsilons: list[tuple[Fraction, ...]] = []
-        pvalues: list[tuple[Fraction, ...]] = []
-        for i in range(inst.n):
-            eps_row: list[Fraction] = []
-            val_row: list[Fraction] = []
-            for j in range(inst.m):
-                v = inst.values[i][j]
-                if v == 0:
-                    e = Fraction(0)
-                else:
-                    e = Fraction(rng.randrange(1, ticks + 1), denom)
-                eps_row.append(e)
-                val_row.append(v - e)
-            val_row.append(lam / 2)
-            epsilons.append(tuple(eps_row))
-            pvalues.append(tuple(val_row))
-        candidate = PerturbedInstance(
-            base=inst,
-            pvalues=tuple(pvalues),
-            epsilons=tuple(epsilons),
-            constants=constants,
-            seed=seed,
-        )
-        _assert_sign_preservation(candidate)
-        if not eager:
-            return replace(candidate, constants=replace(constants, eta=compute_eta(candidate)))
-        cycle = find_unit_ratio_cycle(candidate.pvalues)
-        if cycle is None:
-            return replace(candidate, constants=replace(constants, eta=compute_eta(candidate)))
-        last_cycle = cycle
-    raise DegeneracyError(
-        f"no non-degenerate draw within {max_retries + 1} attempts (seed={seed})",
-        cycle=last_cycle,
+    rng = random.Random(_mix_seed(seed, attempt))
+    # one grid draw per nonzero entry, row by row: this order fixes every certificate byte
+    pvalues = tuple(
+        tuple(v - Fraction(rng.randrange(1, ticks + 1), denom) if v != 0 else v for v in row) + (lam / 2,)
+        for row in inst.values
     )
+    p = PerturbedInstance(base=inst, pvalues=pvalues, constants=constants, seed=seed)
+    _assert_sign_preservation(p)
+    eager = inst.n <= EAGER_CYCLE_GUARD[0] and inst.m <= EAGER_CYCLE_GUARD[1]
+    if eager and (cycle := find_unit_ratio_cycle(p.pvalues)) is not None:
+        raise DegeneracyError(
+            f"draw {attempt} of seed {seed} has a value-ratio cycle of product one", cycle=cycle
+        )
+    return replace(p, constants=replace(constants, eta=compute_eta(p)))
 
 
 def _assert_sign_preservation(p: PerturbedInstance) -> None:
@@ -447,11 +415,6 @@ def find_unit_ratio_cycle(
         if found is not None:
             return found
     return None
-
-
-def check_nondegeneracy(p: PerturbedInstance) -> tuple | None:
-    """Full value-ratio cycle scan of the perturbed matrix; None means clean."""
-    return find_unit_ratio_cycle(p.pvalues)
 
 
 def restrict(alloc: Allocation, aux_item: int) -> Allocation:

@@ -14,7 +14,7 @@ from typing import Sequence
 from .augmenting import solve_by_augmenting
 from .certificate import Certificate, instance_digest
 from .errors import DegeneracyError, InputError, SoundnessError
-from .kkm import StarPoint, find_wstar, membership_summary
+from .kkm import MembershipSummary, find_wstar, membership_summary
 from .leveling import compute_tau, find_leveled, p_plus
 from .model import Allocation, Instance, format_rat
 from .oracles import VerificationReport, verify_certificate
@@ -40,12 +40,13 @@ class SolveOptions:
     mode: str = "enumerate"
     guard: int = DEFAULT_ENUM_GUARD
     grid_base: int = DEFAULT_GRID_BASE
-    max_retries: int = DEFAULT_RETRIES
     keep_trace: bool = False
 
     def __post_init__(self):
         if self.mode not in ("enumerate", "augment"):
             raise InputError(f"unknown mode {self.mode!r}")
+        if self.guard < 0:
+            raise InputError(f"the enumeration guard must be nonnegative, not {self.guard}")
 
 
 def generate_instance(
@@ -123,30 +124,26 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()) -> tuple[Certific
 
 
 def _draw_and_search(
-    normalized: Instance, constants: Constants, opts: SolveOptions
-) -> tuple[PerturbedInstance, StarPoint]:
-    """The first perturbation draw that is clean and whose search certifies w*.
+    normalized: Instance, constants: Constants, opts: SolveOptions, *, search: bool = True
+) -> tuple[PerturbedInstance, MembershipSummary | None]:
+    """The first clean perturbation draw and, with ``search``, the summary at its certified w*.
 
-    One attempt counter covers both ways a draw can be degenerate: a
-    value-ratio cycle found by the eager scan, and an equality-graph
-    cycle met during the search.
+    The one retry loop over perturbation draws: attempts 0 to
+    ``DEFAULT_RETRIES``. One attempt counter covers both ways a draw can
+    be degenerate: a value-ratio cycle found by the eager scan in
+    :func:`perturb`, and an equality-graph cycle met during the search.
+    Without ``search`` the first draw that passes the scan is returned,
+    with None.
     """
     last: DegeneracyError | None = None
-    for attempt in range(opts.max_retries + 1):
+    for attempt in range(DEFAULT_RETRIES + 1):
         try:
-            p = perturb(
-                normalized,
-                opts.seed,
-                constants,
-                max_retries=0,
-                grid_base=opts.grid_base,
-                attempt_offset=attempt,
-            )
-            return p, find_wstar(p, p.constants.eta)
+            p = perturb(normalized, opts.seed, constants, attempt=attempt, grid_base=opts.grid_base)
+            return p, find_wstar(p, p.constants.eta) if search else None
         except DegeneracyError as exc:
             last = exc
     raise DegeneracyError(
-        f"degeneracy persisted through {opts.max_retries + 1} perturbation draws",
+        f"degeneracy persisted through {DEFAULT_RETRIES + 1} perturbation draws",
         cycle=None if last is None else last.cycle,
     )
 
@@ -155,7 +152,7 @@ def _finish(
     inst: Instance,
     digest: str,
     p: PerturbedInstance,
-    star: StarPoint,
+    star: MembershipSummary,
     opts: SolveOptions,
 ) -> tuple[Certificate, VerificationReport]:
     tg = star.tie_graph
@@ -199,7 +196,7 @@ def _finish(
         epsilon=p.constants.epsilon,
         eta=eta,
         perturbed_values=p.pvalues,
-        w_star=star.w_star,
+        w_star=star.w,
         prices=prices,
         tau=tau,
         allocation_perturbed=alloc_bar,
@@ -226,33 +223,25 @@ def explain(
     the same seed, found through the same perturbation draws. A
     supplied ``w`` is read on the seed's first clean draw.
     """
+    opts = SolveOptions(seed=seed, guard=guard)
     normalized = normalize_mixed(inst)
     constants = compute_constants(normalized, guard)
     lines: list[str] = []
     if constants.lam is None:
         return "all-zero instance: every allocation is fair and efficient\n"
-    star: StarPoint | None = None
     if w is None:
-        p, star = _draw_and_search(
-            normalized, constants, SolveOptions(seed=seed, guard=guard)
-        )
-        weight = star.w_star
+        p, summary = _draw_and_search(normalized, constants, opts)
         lines.append("weight: certified common point")
     else:
-        p = perturb(normalized, seed, constants)
-        weight = tuple(Fraction(x) for x in w)
+        p, _ = _draw_and_search(normalized, constants, opts, search=False)
+        summary = membership_summary(p, w, p.constants.eta)
+        check_price_signs(p, summary.tie_graph.prices)
         lines.append("weight: supplied")
-    eta = p.constants.eta
+    weight, tg, winners, eta = summary.w, summary.tie_graph, summary.winners, p.constants.eta
     lines.append("w = (" + ", ".join(format_rat(x) for x in weight) + ")")
     lines.append(f"eta = {format_rat(eta)}")
 
-    if star is None:
-        summary = membership_summary(p, weight, eta)
-        tg, winners = summary.tie_graph, summary.winners
-    else:  # every agent won at the certified point
-        tg, winners = star.tie_graph, frozenset(range(p.n))
     prices = tg.prices
-    check_price_signs(p, prices)
     aux = p.aux_item
 
     def item_name(j: int) -> str:
@@ -284,9 +273,9 @@ def explain(
     lines.append("membership: " + table)
     if support(weight) != frozenset(range(p.n)):
         lines.append("boundary weight: support = {" + ", ".join(f"a{i + 1}" for i in sorted(support(weight))) + "}")
-    if with_trace and star is not None:
+    if with_trace and w is None:
         trace: list[dict] = []
-        solve_by_augmenting(tg, tau, star.witnesses, trace, face=face)
+        solve_by_augmenting(tg, tau, summary.witnesses, trace, face=face)
         lines.append(f"augmenting trace ({len(trace)} events):")
         for event in trace:
             lines.append("  " + ", ".join(f"{k}={v}" for k, v in event.items()))

@@ -45,7 +45,6 @@ def ebar(e1) -> PerturbedInstance:
     return PerturbedInstance(
         base=e1,
         pvalues=((F(31, 8), F(-17, 8), F(1, 2)), (F(23, 8), F(-9, 8), F(1, 2))),
-        epsilons=((F(1, 8), F(1, 8)), (F(1, 8), F(1, 8))),
         constants=consts,
         seed=0,
     )
@@ -61,7 +60,6 @@ def disjoint_support() -> PerturbedInstance:
     return PerturbedInstance(
         base=base,
         pvalues=((F(1), F(0), F(1, 2)), (F(0), F(1), F(1, 2))),
-        epsilons=((F(0), F(0)), (F(0), F(0))),
         constants=consts,
         seed=0,
     )
@@ -93,7 +91,6 @@ def make_chain_fixture(
     p = PerturbedInstance(
         base=base,
         pvalues=tuple(tuple(F(v) for v in row) for row in rows),
-        epsilons=tuple((F(0),) * 4 for _ in range(3)),
         constants=consts,
         seed=0,
     )

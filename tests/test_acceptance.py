@@ -38,10 +38,9 @@ from manna.preprocess import (
     compute_constants,
     find_unit_ratio_cycle,
     normalize_mixed,
-    perturb,
 )
 from manna.pricing import build_tie_graph, dual_prices, enumerate_opt, lp_objective, price_of, support
-from manna.solver import PROFILES, generate_instance
+from manna.solver import PROFILES, SolveOptions, _draw_and_search, generate_instance
 
 from conftest import make_chain_fixture, record_acceptance
 from local_search import local_search_ief1
@@ -115,10 +114,6 @@ def rebuild(run: SolveRun, mode: str = "enumerate") -> PerturbedInstance | None:
     if cert.trivial:
         return None
     normalized = normalize_mixed(run.instance)
-    epsilons = tuple(
-        tuple(normalized.values[i][j] - cert.perturbed_values[i][j] for j in range(normalized.m))
-        for i in range(normalized.n)
-    )
     constants = Constants(
         lam=cert.lam,
         omega=cert.omega,
@@ -130,7 +125,6 @@ def rebuild(run: SolveRun, mode: str = "enumerate") -> PerturbedInstance | None:
     return PerturbedInstance(
         base=normalized,
         pvalues=cert.perturbed_values,
-        epsilons=epsilons,
         constants=constants,
         seed=cert.seed,
     )
@@ -173,7 +167,7 @@ def test_criterion_2_oracle_equivalence(corpus):
         w = cert.w_star
         prices = dual_prices(p, w, eta)
         tg = build_tie_graph(p, w, eta)
-        if compute_tau(tg) != brute_tau(p, w, eta):
+        if compute_tau(tg, enumerate_opt(tg)) != brute_tau(p, w, eta):
             bad.append((run.index, "tau"))
             continue
         total = sum(prices)
@@ -257,11 +251,12 @@ def test_criterion_4_boundary_covering(corpus):
                     continue
                 checked += 1
                 try:
-                    from manna.kkm import covering_label
-
-                    covering_label(p, w, eta)
+                    winners = membership_summary(p, w, eta).winners
                 except Exception as exc:
                     bad.append((run.index, "label", repr(exc)))
+                    continue
+                if not winners & sup:  # some supported agent wins at every boundary weight
+                    bad.append((run.index, "label"))
                     continue
                 prices = dual_prices(p, w, eta)
                 tg = build_tie_graph(p, w, eta)
@@ -304,7 +299,7 @@ def test_criterion_5_augmenting_contract(corpus):
         eta = cert.eta
         star = build_star_point(p, membership_summary(p, cert.w_star, eta))
         tg, prices = star.tie_graph, star.tie_graph.prices
-        tau = compute_tau(tg)
+        tau = compute_tau(tg, enumerate_opt(tg))
         for alloc in enumerate_opt(tg):
             if max(price_of(prices, b) for b in alloc) != tau:
                 continue
@@ -337,7 +332,7 @@ def test_criterion_5_augmenting_contract(corpus):
         p, w, eta = make_chain_fixture(*params)
         star = build_star_point(p, membership_summary(p, w, eta))
         tg, prices = star.tie_graph, star.tie_graph.prices
-        tau = compute_tau(tg)
+        tau = compute_tau(tg, enumerate_opt(tg))
         for alloc in enumerate_opt(tg):
             if max(price_of(prices, b) for b in alloc) != tau:
                 continue
@@ -428,8 +423,8 @@ def test_criterion_7_degeneracy_handling():
         if find_unit_ratio_cycle(inst.values) is not None:
             detected += 1
         consts = compute_constants(inst)
-        try:
-            p = perturb(inst, seed, consts, max_retries=5)
+        try:  # the solver's draw loop: the first clean draw within DEFAULT_RETRIES = 5 retries
+            p, _ = _draw_and_search(inst, consts, SolveOptions(seed=seed), search=False)
             if find_unit_ratio_cycle(p.pvalues) is None:
                 recovered += 1
         except DegeneracyError:

@@ -19,7 +19,7 @@ def chain(chain_fixture):
     p, w, eta = chain_fixture
     star = build_star_point(p, membership_summary(p, w, eta))
     tg, prices = star.tie_graph, star.tie_graph.prices
-    tau = compute_tau(tg)
+    tau = compute_tau(tg, enumerate_opt(tg))
     return p, star, tg, prices, tau
 
 
@@ -97,7 +97,7 @@ class TestConstructX:
             p, w, eta = make_chain_fixture(*params)
             star = build_star_point(p, membership_summary(p, w, eta))
             tg, prices = star.tie_graph, star.tie_graph.prices
-            tau = compute_tau(tg)
+            tau = compute_tau(tg, enumerate_opt(tg))
             for alloc, lacking in deficient_members(tg, prices, tau):
                 for r in lacking:
                     state = AugmentState.from_allocation(tg, tau, alloc)
@@ -153,16 +153,16 @@ class TestSolveByAugmenting:
         eta = F(1, 12)
         star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta))
         tg, prices = star.tie_graph, star.tie_graph.prices
-        tau = compute_tau(tg)
+        tau = compute_tau(tg, enumerate_opt(tg))
         trace: list[dict] = []
-        result = solve_by_augmenting(tg, tau, star.witnesses, trace)
+        result = solve_by_augmenting(tg, tau, star.witnesses, trace, face=enumerate_opt(tg))
         assert trace == []
         assert result in enumerate_opt(tg)
 
     def test_chain_converges_with_work(self, chain):
         _, star, tg, prices, tau = chain
         trace: list[dict] = []
-        result = solve_by_augmenting(tg, tau, star.witnesses, trace)
+        result = solve_by_augmenting(tg, tau, star.witnesses, trace, face=enumerate_opt(tg))
         assert any(e["event"] == "pop" for e in trace)
         assert all(p_plus(tg, i, result[i]) >= tau for i in range(3))
         assert max(price_of(prices, b) for b in result) == tau
@@ -172,6 +172,6 @@ class TestSolveByAugmenting:
             p, w, eta = make_chain_fixture(*params)
             star = build_star_point(p, membership_summary(p, w, eta))
             tg, prices = star.tie_graph, star.tie_graph.prices
-            tau = compute_tau(tg)
-            result = solve_by_augmenting(tg, tau, star.witnesses)
+            tau = compute_tau(tg, enumerate_opt(tg))
+            result = solve_by_augmenting(tg, tau, star.witnesses, face=enumerate_opt(tg))
             assert all(p_plus(tg, i, result[i]) >= tau for i in range(3))

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import manna
 from manna.certificate import Certificate, instance_to_dict
 from manna.cli import main
 from manna.solver import explain, generate_instance
@@ -174,8 +178,12 @@ class TestVerifyMalformedContent:
             (lambda d: d.update(allocation_perturbed=d["allocation_perturbed"][:1]), "ief1-on-perturbed"),
             (lambda d: d["allocation_perturbed"][0].append(99), "ief1-on-perturbed"),
             (lambda d: d.update(swaps_original=[[99]] + d["swaps_original"][1:]), "ief1-on-original"),
+            (
+                lambda d: d.update(perturbed_values=[["0"] * len(row) for row in d["perturbed_values"]]),
+                "perturbation-bounds",
+            ),
         ],
-        ids=["one-bundle-for-three-agents", "item-99-in-bundle", "swap-item-99"],
+        ids=["one-bundle-for-three-agents", "item-99-in-bundle", "swap-item-99", "all-zero-perturbed-values"],
     )
     def test_fails_with_clause(self, three_agent_files, capsys, mutate, clause):
         inst_path, data, cert_path = three_agent_files
@@ -247,6 +255,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("verification error:") and err.count("\n") == 1
         assert repr(field) in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--max-denominator", "0"), ("--max-denominator", "-3"), ("--guard", "-1")],
+    )
+    def test_out_of_range_solve_option(self, e1_file, option, value):
+        # a separate process with a timeout, so that a loop that never ends fails the test
+        env = dict(os.environ)
+        src = str(Path(manna.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        done = subprocess.run(
+            [sys.executable, "-m", "manna.cli", "solve", e1_file, option, value],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("input error:") and done.stderr.count("\n") == 1
+
+    def test_negative_verify_guard(self, e1_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run("solve", e1_file, "--out", str(cert_path))
+        capsys.readouterr()
+        assert run("verify", e1_file, str(cert_path), "--guard", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
 
     def test_subset_guard(self, tmp_path):
         wide = tmp_path / "wide.json"

@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manna.errors import InputError
-from manna.kkm import (
-    build_star_point,
-    cell_membership,
-    covering_label,
-    find_wstar,
-    membership_summary,
-)
+from manna.kkm import build_star_point, find_wstar, membership_summary
 from manna.preprocess import ItemClass, compute_constants, normalize_mixed, perturb
 from manna.pricing import dual_prices, enumerate_opt, price_of, support, build_tie_graph
 
@@ -22,28 +16,33 @@ from test_preprocess import instances
 from test_pricing import HALF, ETA, random_perturbed, random_weight
 
 
+def supported_winners(p, w, eta) -> frozenset[int]:
+    return membership_summary(p, w, eta).winners & support(w)
+
+
 class TestCellMembership:
+    """Which agents' membership regions contain a weight, with their witnesses."""
+
     def test_worked_example(self, ebar):
-        witness = cell_membership(ebar, HALF, ETA, 0)
-        assert witness is not None
+        summary = membership_summary(ebar, HALF, ETA)
+        assert summary.winners == frozenset({0})
         prices = dual_prices(ebar, HALF, ETA)
-        bundle_prices = [price_of(prices, b) for b in witness.allocation]
-        assert witness.max_price == max(bundle_prices) == bundle_prices[0]
-        assert cell_membership(ebar, HALF, ETA, 1) is None
+        bundle_prices = [price_of(prices, b) for b in summary.witnesses[0]]
+        assert max(bundle_prices) == bundle_prices[0]
 
     def test_symmetric_instance_both_members(self, disjoint_support):
-        eta = F(1, 12)
-        assert cell_membership(disjoint_support, HALF, eta, 0) is not None
-        assert cell_membership(disjoint_support, HALF, eta, 1) is not None
+        assert membership_summary(disjoint_support, HALF, F(1, 12)).winners == frozenset({0, 1})
 
 
 class TestCoveringLabel:
+    """The regions cover the simplex: some supported agent wins at every weight."""
+
     def test_worked_example(self, ebar):
-        assert covering_label(ebar, HALF, ETA) == 0
+        assert supported_winners(ebar, HALF, ETA) == frozenset({0})
 
     def test_vertex_weight_labels_the_supported_agent(self, ebar):
-        assert covering_label(ebar, (F(1), F(0)), ETA) == 0
-        assert covering_label(ebar, (F(0), F(1)), ETA) == 1
+        assert supported_winners(ebar, (F(1), F(0)), ETA) == frozenset({0})
+        assert supported_winners(ebar, (F(0), F(1)), ETA) == frozenset({1})
 
     def test_never_fails_on_random_weights(self):
         rng = random.Random(23)
@@ -52,8 +51,7 @@ class TestCoveringLabel:
             p = random_perturbed(500 + seed, n, 2 + seed % 4)
             for _ in range(10):
                 w = random_weight(rng, n)
-                label = covering_label(p, w, p.constants.eta)
-                assert label in support(w)
+                assert supported_winners(p, w, p.constants.eta)
 
 
 class TestBoundaryBehavior:
@@ -102,9 +100,8 @@ class TestFindWstar:
     def test_symmetric_instance_half_half(self, disjoint_support):
         eta = F(1, 12)
         star = find_wstar(disjoint_support, eta)
-        assert star.w_star == HALF
-        summary = membership_summary(disjoint_support, star.w_star, eta)
-        assert summary.winners == frozenset({0, 1})
+        assert star.w == HALF
+        assert star.winners == frozenset({0, 1})
         # the symmetric midpoint is itself certified
         assert membership_summary(disjoint_support, HALF, eta).winners == frozenset({0, 1})
 
@@ -113,12 +110,12 @@ class TestFindWstar:
         p = perturb(e1, 7, consts)
         eta = p.constants.eta
         star = find_wstar(p, eta)
-        for i in range(2):
-            assert cell_membership(p, star.w_star, eta, i) is not None
-        for witness in star.witnesses:
-            prices = star.tie_graph.prices
-            bundle_prices = [price_of(prices, b) for b in witness.allocation]
-            assert bundle_prices[witness.agent] == max(bundle_prices)
+        assert membership_summary(p, star.w, eta).winners == frozenset({0, 1})
+        assert set(star.witnesses) == {0, 1}
+        prices = star.tie_graph.prices
+        for agent, witness in star.witnesses.items():
+            bundle_prices = [price_of(prices, b) for b in witness]
+            assert bundle_prices[agent] == max(bundle_prices)
 
     def test_deterministic_output(self, e1):
         consts = compute_constants(e1)
@@ -126,14 +123,12 @@ class TestFindWstar:
         eta = p.constants.eta
         a = find_wstar(p, eta)
         b = find_wstar(p, eta)
-        assert a.w_star == b.w_star
+        assert a.w == b.w
 
     def test_three_agents_exact(self):
         p = random_perturbed(777, 3, 4)
         star = find_wstar(p, p.constants.eta)
-        assert membership_summary(p, star.w_star, p.constants.eta).winners == frozenset(
-            range(3)
-        )
+        assert membership_summary(p, star.w, p.constants.eta).winners == frozenset(range(3))
 
     def test_exact_rejects_large_n(self):
         p = random_perturbed(800, 4, 2)
@@ -143,7 +138,7 @@ class TestFindWstar:
     def test_chain_fixture_is_star_point(self, chain_fixture):
         p, w, eta = chain_fixture
         star = build_star_point(p, membership_summary(p, w, eta))
-        assert {cw.agent for cw in star.witnesses} == {0, 1, 2}
+        assert set(star.witnesses) == {0, 1, 2}
 
 
 class TestSearchProperty:
@@ -156,5 +151,5 @@ class TestSearchProperty:
         p = perturb(normalized, seed, consts)
         eta = p.constants.eta
         star = find_wstar(p, eta)
-        assert membership_summary(p, star.w_star, eta).winners == frozenset(range(p.n))
-        assert find_wstar(p, eta).w_star == star.w_star
+        assert membership_summary(p, star.w, eta).winners == frozenset(range(p.n))
+        assert find_wstar(p, eta).w == star.w

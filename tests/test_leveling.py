@@ -48,13 +48,13 @@ class TestPPlus:
 class TestTau:
     def test_worked_value(self, worked):
         _, tg, prices = worked
-        assert compute_tau(tg) == F(33, 16)
+        assert compute_tau(tg, enumerate_opt(tg)) == F(33, 16)
 
     def test_no_ties_tau_is_forced_max(self, ebar):
         w = (F(2, 3), F(1, 3))
         prices = dual_prices(ebar, w, ETA)
         tg = build_tie_graph(ebar, w, ETA)
-        assert compute_tau(tg) == max(
+        assert compute_tau(tg, enumerate_opt(tg)) == max(
             price_of(prices, b) for b in enumerate_opt(tg)[0]
         )
 
@@ -63,11 +63,11 @@ class TestTau:
         expected = min(
             max(price_of(prices, b) for b in alloc) for alloc in reversed(enumerate_opt(tg))
         )
-        assert compute_tau(tg) == expected
+        assert compute_tau(tg, enumerate_opt(tg)) == expected
 
     def test_agrees_with_definitional_oracle(self, worked):
         ebar, tg, prices = worked
-        assert brute_tau(ebar, HALF, ETA) == compute_tau(tg)
+        assert brute_tau(ebar, HALF, ETA) == compute_tau(tg, enumerate_opt(tg))
 
     def test_oracle_agreement_randomized(self):
         rng = random.Random(17)
@@ -78,32 +78,32 @@ class TestTau:
             eta = p.constants.eta
             prices = dual_prices(p, w, eta)
             tg = build_tie_graph(p, w, eta)
-            assert compute_tau(tg) == brute_tau(p, w, eta)
+            assert compute_tau(tg, enumerate_opt(tg)) == brute_tau(p, w, eta)
 
 
 class TestFindLeveled:
     def test_non_star_point_partial_satisfaction(self, worked):
         _, tg, prices = worked
-        state = find_leveled(tg, F(33, 16))
+        state = find_leveled(tg, F(33, 16), face=enumerate_opt(tg))
         assert state.allocation == (frozenset({0}), frozenset({1, 2}))
         assert state.satisfied == frozenset({0})
 
     def test_expect_full_raises_off_star(self, worked):
         _, tg, prices = worked
         with pytest.raises(SoundnessError):
-            find_leveled(tg, F(33, 16), expect_full=True)
+            find_leveled(tg, F(33, 16), face=enumerate_opt(tg), expect_full=True)
 
     def test_symmetric_star_point_fully_satisfied(self, disjoint_support):
         eta = F(1, 12)
         star = build_star_point(disjoint_support, membership_summary(disjoint_support, HALF, eta))
-        tau = compute_tau(star.tie_graph)
-        state = find_leveled(star.tie_graph, tau, expect_full=True)
+        face = enumerate_opt(star.tie_graph)
+        state = find_leveled(star.tie_graph, compute_tau(star.tie_graph, face), face=face, expect_full=True)
         assert state.satisfied == frozenset({0, 1})
 
     def test_wrong_tau_detected(self, worked):
         _, tg, prices = worked
         with pytest.raises(SoundnessError):
-            find_leveled(tg, F(999))
+            find_leveled(tg, F(999), face=enumerate_opt(tg))
 
 
 class TestExchangeIdentity:

@@ -11,7 +11,6 @@ from manna.errors import DegeneracyError, InputError, SizeGuardError
 from manna.model import Instance
 from manna.preprocess import (
     ItemClass,
-    check_nondegeneracy,
     choose_epsilon,
     classify_items,
     compute_constants,
@@ -203,7 +202,6 @@ class TestPerturb:
         inst = Instance.from_rows([[0, 5], [0, 2]])
         p = perturb(inst, 1, compute_constants(inst))
         assert p.pvalues[0][0] == 0 and p.pvalues[1][0] == 0
-        assert p.epsilons[0][0] == 0
 
     def test_aux_item_value(self, e1):
         p = perturb(e1, 1, self._mk(e1))
@@ -240,14 +238,32 @@ class TestPerturb:
     def test_retry_exhaustion_reports_cycle(self, e1, monkeypatch):
         fake = (("item", 0), ("agent", 0), ("item", 1), ("agent", 1))
         monkeypatch.setattr(pp, "find_unit_ratio_cycle", lambda matrix: fake)
-        with pytest.raises(DegeneracyError) as err:
-            perturb(e1, 1, self._mk(e1), max_retries=3)
-        assert err.value.cycle == fake
+        for attempt in range(3):
+            with pytest.raises(DegeneracyError) as err:
+                perturb(e1, 1, self._mk(e1), attempt=attempt)
+            assert err.value.cycle == fake
+
+    def test_attempts_are_distinct_draws(self, e1):
+        consts = self._mk(e1)
+        draws = [perturb(e1, 1, consts, attempt=k).pvalues for k in range(3)]
+        assert draws[0] == perturb(e1, 1, consts).pvalues
+        assert len(set(draws)) == 3
 
     def test_all_zero_rejected(self):
         inst = Instance.from_rows([[0, 0], [0, 0]])
         with pytest.raises(InputError):
             perturb(inst, 0, compute_constants(inst))
+
+
+class TestZeroItemPins:
+    def test_holder_has_original_value_zero(self):
+        inst = Instance.from_rows([[-3, 5], [0, 2]])
+        normalized = normalize_mixed(inst)
+        assert normalized.values[0][0] == 0
+        p = perturb(normalized, 1, compute_constants(normalized))
+        assert p.zero_items == frozenset({0})
+        # the normalized base values item 0 at zero for both agents and would pin it on agent 0
+        assert p.zero_item_pins(inst) == {0: 1}
 
 
 class TestEta:
@@ -262,7 +278,6 @@ class TestEta:
         p = pp.PerturbedInstance(
             base=base,
             pvalues=((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 2))),
-            epsilons=((F(0), F(0)), (F(0), F(1))),
             constants=consts,
             seed=0,
         )
@@ -291,7 +306,7 @@ class TestCycleScan:
     def test_perturbed_instances_are_clean(self, e1):
         for seed in range(5):
             p = perturb(e1, seed, compute_constants(e1))
-            assert check_nondegeneracy(p) is None
+            assert find_unit_ratio_cycle(p.pvalues) is None
 
 
 class TestRestrict:

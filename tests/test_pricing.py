@@ -76,7 +76,6 @@ class TestDualPrices:
         p = PerturbedInstance(
             base=base,
             pvalues=((F(0), F(3), F(1, 2)), (F(0), F(2), F(1, 2))),
-            epsilons=((F(0), F(0)), (F(0), F(0))),
             constants=consts,
             seed=0,
         )
@@ -109,7 +108,6 @@ class TestTieGraph:
         p = PerturbedInstance(
             base=base,
             pvalues=((F(1), F(2), F(1, 2)), (F(2), F(4), F(1, 2))),
-            epsilons=((F(0), F(0)), (F(0), F(0))),
             constants=consts,
             seed=0,
         )
