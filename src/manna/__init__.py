@@ -3,7 +3,7 @@
 Computes allocations of indivisible items (goods, chores, and
 zero/positive items) that are simultaneously Pareto-optimal and fair in
 the one-item-adjustment sense, then certifies the result with
-independent exhaustive checks. All arithmetic is exact rational.
+independent exact checks. All arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .oracles import (
     brute_po,
     brute_tau,
     enumerate_allocations,
+    po_verdict,
     verify_certificate,
 )
 from .preprocess import (

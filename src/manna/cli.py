@@ -80,7 +80,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     po = (report.po_on_original or {}).get("verdict")
     stream.write(f"verification: {status}\n")
     if po == "unverified":
-        stream.write("note: efficiency on the original instance is unverified (enumeration guard)\n")
+        stream.write("note: efficiency on the original instance is unverified (PO search guard exceeded)\n")
     if report.failures:
         stream.write("failing clauses: " + ", ".join(report.failures) + "\n")
     if args.all_witnesses:

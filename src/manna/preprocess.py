@@ -25,7 +25,6 @@ from .model import Allocation, Instance
 DEFAULT_ENUM_GUARD = 10**7
 DEFAULT_GRID_BASE = 2**32
 DEFAULT_RETRIES = 5
-LAMBDA_SUBSET_GUARD = 24
 # full value-ratio cycle enumeration is affordable only at small sizes;
 # beyond this the equality-graph acyclicity assert takes over (lazy mode)
 EAGER_CYCLE_GUARD = (4, 7)
@@ -112,17 +111,16 @@ def _sumset_min_gap(columns: Sequence[Sequence[int]], guard: int | None = None) 
     return min((b - a for a, b in zip(ordered, ordered[1:])), default=None)
 
 
-def compute_lambda(inst: Instance) -> Fraction | None:
+def compute_lambda(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Fraction | None:
     """Minimum positive per-agent gap between any two bundle values.
 
     Returns None when all values are zero (no positive gap exists).
     For each agent, the bundle values are the sumset of ``{0, v}`` over
-    that agent's values, built item by item on integers.
+    that agent's values, built item by item on integers; ``guard``
+    bounds each agent's sumset work (see :func:`_sumset_min_gap`).
     """
-    if inst.m > LAMBDA_SUBSET_GUARD:
-        raise SizeGuardError(f"subset-sum enumeration infeasible for m={inst.m}")
     rows, scale = _scaled(inst.values)
-    gaps = [gap for row in rows if (gap := _sumset_min_gap([(0, v) for v in row])) is not None]
+    gaps = [gap for row in rows if (gap := _sumset_min_gap([(0, v) for v in row], guard)) is not None]
     return Fraction(min(gaps), scale) if gaps else None
 
 
@@ -212,8 +210,12 @@ class Constants:
 
 
 def compute_constants(inst: Instance, guard: int = DEFAULT_ENUM_GUARD) -> Constants:
-    """Gather lambda/omega/epsilon for a normalized instance (eta comes after the draw)."""
-    lam = compute_lambda(inst)
+    """Gather lambda/omega/epsilon for a normalized instance (eta comes after the draw).
+
+    Lambda past ``guard`` raises :class:`SizeGuardError`; omega past it
+    falls back to :func:`omega_lower_bound`.
+    """
+    lam = compute_lambda(inst, guard)
     cap = value_cap(inst)
     if lam is None:
         return Constants(lam=None, omega=None, omega_exact=True, epsilon=None, eta=None, value_cap=cap)

@@ -13,7 +13,10 @@ from fractions import Fraction
 
 from manna.errors import SizeGuardError
 from manna.model import Instance
-from manna.preprocess import DEFAULT_ENUM_GUARD, LAMBDA_SUBSET_GUARD, assignments
+from manna.preprocess import DEFAULT_ENUM_GUARD, assignments
+
+# each agent's 2^m subset sums are built in full; past this m that is too slow
+REFERENCE_LAMBDA_MAX_M = 24
 
 
 def reference_lambda(inst: Instance) -> Fraction | None:
@@ -22,7 +25,7 @@ def reference_lambda(inst: Instance) -> Fraction | None:
     Returns None when all values are zero (no positive gap exists).
     Brute force over each agent's 2^m subset sums.
     """
-    if inst.m > LAMBDA_SUBSET_GUARD:
+    if inst.m > REFERENCE_LAMBDA_MAX_M:
         raise SizeGuardError(f"subset-sum enumeration infeasible for m={inst.m}")
     best: Fraction | None = None
     for i in range(inst.n):

@@ -283,12 +283,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
-    def test_subset_guard(self, tmp_path):
+    def test_lambda_guard(self, tmp_path):
+        # unit fractions with pairwise-coprime denominators have 2^40 distinct
+        # subset sums; a separate process with a timeout, so a hang fails the test
+        primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))][:40]
         wide = tmp_path / "wide.json"
         wide.write_text(
-            json.dumps({"agents": 2, "items": 30, "values": [[1] * 30, [2] * 30]})
+            json.dumps({"agents": 2, "items": 40, "values": [[f"1/{q}" for q in primes], [1] * 40]})
         )
-        assert run("solve", str(wide)) == 3
+        env = dict(os.environ)
+        src = str(Path(manna.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        done = subprocess.run(
+            [sys.executable, "-m", "manna.cli", "solve", str(wide), "--guard", "100000"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("size guard:") and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "explain"])
     def test_four_agents_are_an_input_error(self, tmp_path, capsys, command):

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import manna.oracles as oracles
 from manna.errors import InputError, SizeGuardError
@@ -14,11 +16,20 @@ from manna.oracles import (
     brute_po,
     brute_tau,
     enumerate_allocations,
+    po_verdict,
     verify_certificate,
 )
 from manna.solver import SolveOptions, generate_instance, solve
 
 from local_search import local_search_ief1
+from test_preprocess import instances, positives, rationals
+
+# Pareto-optimal, but not fractionally: item 0 held by 0 asks beta_0 >= beta_1,
+# item 1 held by 1 asks beta_1 >= 2 beta_0; no allocation weakly improves (2, 3, 0)
+PO_NOT_FPO = Instance.from_rows([[2, 6], [2, 3], [4, 4]])
+PO_NOT_FPO_ALLOC = ((0,), (1,), ())
+# its lambda work is 6 per agent and its frontier work 15, so guard 10 lies between
+PO_NOT_FPO_GUARD = 10
 
 
 def alloc(*bundles):
@@ -63,6 +74,100 @@ class TestBrutePo:
         inst = Instance.from_rows([[2, 3], [2, 3]])
         for a in enumerate_allocations(2, 2):
             assert brute_po(inst, a)
+
+
+@st.composite
+def instance_and_allocation(draw) -> tuple[Instance, tuple[frozenset[int], ...], bool]:
+    """An instance with n <= 3, m <= 7, an allocation, and whether it was built as fPO.
+
+    The allocation gives every item to the first argmax of a drawn
+    positive weighting, which makes it fractionally PO by construction;
+    or it does so and then hands one item to another agent, which often
+    leaves it PO but not fPO; or it is arbitrary.
+    """
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 7))
+    generic = st.lists(st.lists(rationals, min_size=m, max_size=m), min_size=n, max_size=n)
+    inst = draw(instances(max_n=3, max_m=7) | generic.map(Instance.from_rows))
+    n, m = inst.n, inst.m
+    if draw(st.booleans()):  # a duplicated agent
+        src, dst = draw(st.permutations(range(n)))[:2]
+        rows = list(inst.values)
+        rows[dst] = rows[src]
+        inst = Instance(n, m, tuple(rows))
+    kind = draw(st.sampled_from(("weight", "weight-then-move", "arbitrary")))
+    if kind == "arbitrary":
+        holders = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    else:
+        beta = draw(st.lists(positives, min_size=n, max_size=n))
+        holders = [max(range(n), key=lambda i: beta[i] * inst.values[i][j]) for j in range(m)]
+    if kind == "weight-then-move":
+        holders[draw(st.integers(0, m - 1))] = draw(st.integers(0, n - 1))
+    bundles = tuple(frozenset(j for j in range(m) if holders[j] == i) for i in range(n))
+    return inst, bundles, kind == "weight"
+
+
+class TestPoVerdict:
+    @given(case=instance_and_allocation())
+    @settings(max_examples=400)
+    def test_agrees_with_brute_po(self, case):
+        inst, a, built_fpo = case
+        verdict = po_verdict(inst, a)
+        po = brute_po(inst, a)
+        assert (verdict["verdict"] == "pass") == po
+        if verdict["method"] == "fractional":
+            assert po
+        if built_fpo:
+            assert verdict == {"verdict": "pass", "method": "fractional"}
+
+    def test_agrees_with_brute_po_on_seeded_allocations(self):
+        # PO but not fPO is rare among drawn examples; a weighted argmax with
+        # one item moved reaches it in about 3% of these cases
+        rng = random.Random(11)
+        methods = set()
+        for _ in range(2000):
+            n, m = rng.randint(2, 3), rng.randint(2, 7)
+            draw = lambda low: F(rng.randint(low, 6), rng.choice((1, 2, 3, 5, 7)))  # noqa: E731
+            rows = [[draw(-6) for _ in range(m)] for _ in range(n)]
+            inst = Instance.from_rows(rows)
+            beta = [draw(1) for _ in range(n)]
+            holders = [max(range(n), key=lambda i: beta[i] * inst.values[i][j]) for j in range(m)]
+            holders[rng.randrange(m)] = rng.randrange(n)
+            a = tuple(frozenset(j for j in range(m) if holders[j] == i) for i in range(n))
+            verdict = po_verdict(inst, a)
+            assert (verdict["verdict"] == "pass") == brute_po(inst, a), (rows, holders)
+            methods.add((verdict["verdict"], verdict["method"]))
+        assert ("pass", "frontier") in methods and ("fail", "frontier") in methods
+
+    def test_fractional_pass_with_tied_ratios(self):
+        # identical agents: the weight cycle multiplies to exactly 1
+        inst = Instance.from_rows([[1, 2], [1, 2]])
+        assert po_verdict(inst, alloc({0}, {1})) == {"verdict": "pass", "method": "fractional"}
+
+    def test_frontier_pass(self):
+        a = alloc(*PO_NOT_FPO_ALLOC)
+        assert po_verdict(PO_NOT_FPO, a) == {"verdict": "pass", "method": "frontier"}
+        # two agents: utilities (1, 2); every other allocation is worse for someone
+        two = Instance.from_rows([[1, 4], [1, 2]])
+        assert po_verdict(two, alloc({0}, {1})) == {"verdict": "pass", "method": "frontier"}
+
+    def test_frontier_fail(self):
+        inst = Instance.from_rows([[5, 1], [1, 5]])
+        assert po_verdict(inst, alloc({1}, {0})) == {"verdict": "fail", "method": "frontier"}
+
+    def test_zero_holder_facing_a_positive_value_fails(self):
+        # giving item 0 to agent 1 helps it and costs agent 0 nothing
+        inst = Instance.from_rows([[0, 1], [1, 1]])
+        assert po_verdict(inst, alloc({0}, {1})) == {"verdict": "fail", "method": "frontier"}
+
+    def test_guard_exceeded(self):
+        a = alloc(*PO_NOT_FPO_ALLOC)
+        assert po_verdict(PO_NOT_FPO, a, guard=PO_NOT_FPO_GUARD) == {
+            "verdict": "unverified",
+            "method": "guard-exceeded",
+        }
+        # an fPO allocation needs no search, so it passes at any guard
+        fpo = alloc((), (), (0, 1))
+        assert po_verdict(PO_NOT_FPO, fpo, guard=0) == {"verdict": "pass", "method": "fractional"}
 
 
 class TestBruteFindIef1Po:
@@ -148,11 +253,21 @@ class TestVerifyCertificate:
         report = verify_certificate(other, cert)
         assert "digest" in report.failures
 
-    def test_guard_downgrades_po_check(self, e1):
-        cert, _ = solve(e1, SolveOptions(seed=7))
-        report = verify_certificate(e1, cert, guard=2)
+    def test_guard_downgrades_po_check(self):
+        cert, _ = solve(PO_NOT_FPO, SolveOptions(seed=7))
+        # the solver's allocation is fPO, so it passes without the search
+        report = verify_certificate(PO_NOT_FPO, cert, guard=PO_NOT_FPO_GUARD)
+        assert report.po_on_original == {"verdict": "pass", "method": "fractional"}
+        assert report.overall
+        # a PO allocation that is not fPO needs the search, which the guard stops
+        swapped = replace(cert, allocation_original=alloc(*PO_NOT_FPO_ALLOC))
+        assert verify_certificate(PO_NOT_FPO, swapped).po_on_original == {
+            "verdict": "pass",
+            "method": "frontier",
+        }
+        report = verify_certificate(PO_NOT_FPO, swapped, guard=PO_NOT_FPO_GUARD)
         assert report.po_on_original == {"verdict": "unverified", "method": "guard-exceeded"}
-        assert report.overall  # unverified is flagged, not failed
+        assert "po-on-original" not in report.failures  # unverified is flagged, not failed
 
     def test_wrong_length_weight_fails_pricing_rebuild(self, e1):
         cert, _ = solve(e1, SolveOptions(seed=7))

@@ -83,10 +83,20 @@ class TestLambda:
     def test_all_zero_sentinel(self):
         assert compute_lambda(Instance.from_rows([[0, 0], [0, 0]])) is None
 
-    def test_subset_guard(self):
-        inst = Instance(2, 30, tuple(tuple(F(1) for _ in range(30)) for _ in range(2)))
+    def test_guard_counts_sumset_work(self):
+        # pairwise-coprime unit fractions: all 2^6 subset sums of agent 0
+        # differ, so its sumset work is 2 * (2^6 - 1) = 126
+        inst = Instance.from_rows([[F(1, q) for q in (2, 3, 5, 7, 11, 13)], [0] * 6])
+        assert compute_lambda(inst, guard=126) == reference_lambda(inst)
         with pytest.raises(SizeGuardError):
-            compute_lambda(inst)
+            compute_lambda(inst, guard=125)
+        # 2^40 distinct subset sums: the guard stops the sumset long before that
+        primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))][:40]
+        wide = Instance.from_rows([[F(1, q) for q in primes], [1] * 40])
+        with pytest.raises(SizeGuardError):
+            compute_lambda(wide, guard=10**4)
+        with pytest.raises(SizeGuardError):
+            compute_constants(wide, guard=10**4)
 
 
 class TestOmega:
@@ -122,8 +132,13 @@ class TestOmega:
         assert compute_omega(inst, guard=126) == reference_omega(inst)
         with pytest.raises(SizeGuardError):
             compute_omega(inst, guard=50)
-        consts = compute_constants(inst, guard=50)
-        assert consts.omega == omega_lower_bound(inst) and consts.omega_exact is False
+        # lambda honours the guard too, so the fallback needs an instance whose
+        # subset sums collapse (lambda work 42 per agent) while its welfares
+        # do not (omega work 156)
+        spread = Instance.from_rows([[1] * 6, [F(1, 2)] * 6, [F(1, 3)] * 6])
+        consts = compute_constants(spread, guard=50)
+        assert consts.omega == omega_lower_bound(spread) and consts.omega_exact is False
+        assert consts.lam == reference_lambda(spread)
 
 
 DENOMINATORS = (1, 2, 3, 5, 7)

@@ -9,7 +9,7 @@ import manna.solver as solver
 from manna.errors import DegeneracyError, InputError
 from manna.model import format_rat
 from manna.preprocess import DEFAULT_RETRIES, compute_constants, normalize_mixed, perturb
-from manna.solver import SolveOptions, explain, solve
+from manna.solver import PROFILES, SolveOptions, explain, generate_instance, solve
 
 
 class TestRetryLoop:
@@ -70,3 +70,14 @@ class TestOptions:
     def test_negative_guard_rejected(self):
         with pytest.raises(InputError, match="guard"):
             SolveOptions(guard=-1)
+
+
+class TestManyItems:
+    @pytest.mark.parametrize("m", [30, 40])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_two_agents_certify_pareto_optimality(self, m, profile):
+        # 2^40 allocations: neither lambda nor the PO check may walk them
+        inst = generate_instance(m, 2, m, 10, profile)
+        _, report = solve(inst, SolveOptions(seed=1))
+        assert report.overall
+        assert report.po_on_original["verdict"] == "pass"
